@@ -26,16 +26,38 @@ At p = 2 everything reduces to the classical sine and pi_2 = pi.
 Numerics
 --------
 The defining integrand has an algebraic singularity ~ (1-t)^(-1/p) at
-t = 1.  Integrals that reach into the singular corner are computed after
-the substitution 1 - t = w^q with q = p/(p-1), which makes the integrand
-bounded (the Jacobian cancels the singular factor exactly).  pi_p and
-asin_p are evaluated with adaptive Gauss-Kronrod quadrature on the two
-smooth pieces; repeated evaluations are served by a per-exponent table
-of (s, asin_p(s)) pairs whose gaps are bridged with fixed 64-point
-Gauss-Legendre rules.  sin_p inverts asin_p by bracketed root finding
-(Brent) warm-started from the table, after range reduction modulo
-2*pi_p; dsin_p then follows from the first integral, with the sign
-determined by the quarter period.
+t = 1.  pi_p is evaluated by adaptive Gauss-Kronrod quadrature, near the
+singular corner after the substitution 1 - t = w^q with q = p/(p-1),
+which makes the integrand bounded.
+
+sin_p and asin_p are evaluated from per-exponent tables of piecewise
+Chebyshev fits, converted to power form and summed by Horner's rule.
+Each function is split into a bulk and a desingularized tail:
+
+- asin_p(s) = s G(s^p) for 1 - s > x_t = min(0.03, 3/p), and
+  pi_p/2 - asin_p(1 - x) = x^(1/q) F(x) for x = 1 - s <= x_t;
+- sin_p(z) = z H(z^p) below a cut z_c, and
+  1 - sin_p(z) = tau K(tau) with tau = (pi_p/2 - z)^q above it.  The cut
+  is where 1 - sin_p = 1e-4 or at 0.97 pi_p/2, whichever is lower in z,
+  but never lower in z than where 1 - sin_p = x_t.
+
+G, F, H and K are analytic on their ranges, so 256 uniform segments of
+degree 11 (bulk) and one segment of degree 19 (tails) reach rounding
+level.  The node values come from two power series of the defining
+integral: the hypergeometric series of G in s^p for s^p <= 1/2, and the
+Taylor series of F in x, with asin_p = pi_p/2 - x^(1/q) F(x), above.
+sin_p nodes are found by Newton's method on asin_p in the bulk and by
+the fixed point x = (zeta/F(x))^q near the top, where Newton in s would
+be ill-conditioned.
+
+The private evaluators carry the complement x = 1 - |s| next to s, so
+1 - |s|^p and the phase near a maximum of |sin_p| keep their relative
+accuracy where s itself rounds to 1; the shooting solver depends on
+this.  The tables of an exponent are built on the first sin_p or asin_p
+call at that exponent (about 20 ms; pi_p builds none) and kept for the
+life of the process.  Both functions then cost a few microseconds per
+call and agree with the incomplete Beta function to a few units in the
+last place.
 """
 
 from __future__ import annotations
@@ -45,18 +67,22 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import dct
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 __all__ = ["Exponent", "pi_p", "asin_p", "sin_p", "dsin_p"]
 
-# Number of table nodes (N intervals, N+1 nodes) and how many of the top
-# intervals are anchored through the desingularized tail instead of the
-# cumulative sums.
-_TABLE_N = 640
-_TABLE_TOP = 8
-
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+
+# Table layout: uniform bulk segments in s^p (asin_p) and z^p (sin_p),
+# and one Chebyshev segment for each desingularized tail.
+_SEGMENTS = 256
+_DEGREE = 11
+_TAIL_DEGREE = 19
+_ASIN_TAIL_X = 0.03        # asin_p uses its tail for 1 - s <= this, or 3/p
+_SIN_TAIL_X = 1e-4         # sin_p uses its tail from 1 - s = this ...
+_SIN_TAIL_Z = 0.97         # ... or from z = this * pi_p/2, whichever is lower
+_SERIES_TERMS = 64         # both reference series converge at ratio <= 1/2
 
 
 @dataclass(frozen=True)
@@ -85,24 +111,12 @@ def _as_p(p) -> float:
     return Exponent(p).p
 
 
-def _one_minus_pow(t: float, p: float) -> float:
-    # 1 - t**p without cancellation for t near 1.
-    if t <= 0.0:
-        return 1.0
-    if t < 0.7:
-        return 1.0 - t ** p
-    return -math.expm1(p * math.log(t))
+# -- pi_p by adaptive quadrature ------------------------------------------
 
 
 def _integrand(t: float, p: float) -> float:
-    return ((p - 1.0) / _one_minus_pow(t, p)) ** (1.0 / p)
-
-
-def _integrand_vec(ts: np.ndarray, p: float) -> np.ndarray:
-    ts = np.asarray(ts, dtype=float)
-    low = ts < 0.7
-    om = np.where(low, 1.0 - np.where(low, ts, 0.0) ** p,
-                  -np.expm1(p * np.log(np.where(low, 0.5, ts))))
+    # 1 - t**p without cancellation for t near 1.
+    om = 1.0 - t ** p if t < 0.7 else -math.expm1(p * math.log(t))
     return ((p - 1.0) / om) ** (1.0 / p)
 
 
@@ -115,160 +129,272 @@ def _tail_integrand(w: float, p: float, pc: float) -> float:
     return ((p - 1.0) / om) ** (1.0 / p) * pc * w ** (pc - 1.0)
 
 
-def _tail_quad(p: float, pc: float, s: float) -> float:
-    # int_s^1 of the defining integrand, adaptively, for any s in [0, 1].
-    if s >= 1.0:
-        return 0.0
-    w_top = (1.0 - s) ** (1.0 / pc)
-    val, _ = quad(_tail_integrand, 0.0, w_top, args=(p, pc), **_QUAD_OPTS)
-    return val
-
-
-def _asin_quad(p: float, pc: float, s: float) -> float:
-    # Adaptive evaluation of the defining integral on [0, s].
-    if s <= 0.0:
-        return 0.0
-    if s <= 0.5:
-        val, _ = quad(_integrand, 0.0, s, args=(p,), **_QUAD_OPTS)
-        return val
+def _quarter_period(p: float) -> float:
+    # asin_p(1): quadrature on [0, 1/2] plus the desingularized [1/2, 1].
+    pc = p / (p - 1.0)
     head, _ = quad(_integrand, 0.0, 0.5, args=(p,), **_QUAD_OPTS)
-    return head + (_tail_quad(p, pc, 0.5) - _tail_quad(p, pc, s))
+    tail, _ = quad(_tail_integrand, 0.0, 0.5 ** (1.0 / pc), args=(p, pc), **_QUAD_OPTS)
+    return head + tail
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
+# -- table construction ------------------------------------------------------
 
 
-def _gl_defining(p: float, a: float, b: float) -> float:
-    # 64-point Gauss-Legendre for the defining integrand on [a, b], b < 1.
-    if b <= a:
-        return 0.0
-    half = 0.5 * (b - a)
-    ts = 0.5 * (a + b) + half * _GL_X
-    return half * float(_GL_W @ _integrand_vec(ts, p))
+class _Reference:
+    """Table-building values of asin_p from two power series.
+
+    G(y) = asin_p(s)/s with y = s^p is (p-1)^(1/p) times the
+    hypergeometric series sum_k (1/p)_k / (k! (pk+1)) y^k.  F(x), with
+    pi_p/2 - asin_p(1 - x) = x^(1/q) F(x), is (p-1)^(1/p) times
+    sum_j h_j x^j / (j + 1/q), where the h_j are the Taylor coefficients
+    of g(w)^(-1/p), g(w) = (1 - (1-w)^p)/w, by J. C. P. Miller's power
+    recurrence.  G is used for y <= 1/2 and F above, where each series
+    converges at least geometrically with ratio 1/2.  F's singularities
+    nearest to 0 lie at |x| = min(1, 2 sin(pi/p)), about 2 pi/p for large
+    p, so its series is summed in the variable p x, and the tails never
+    reach beyond x = 3/p.
+    """
+
+    def __init__(self, p: float, pc: float, pi_half: float):
+        self.p, self.pc, self.pi_half = p, pc, pi_half
+        self.c = (p - 1.0) ** (1.0 / p)
+        n = _SERIES_TERMS
+        b = np.empty(n)
+        b[0] = 1.0
+        for k in range(1, n):
+            b[k] = b[k - 1] * (1.0 / p + k - 1.0) / k
+        self.g_coef = b / (p * np.arange(n) + 1.0)
+        g = np.empty(n)                  # g_j / p^j
+        g[0] = p
+        for j in range(1, n):
+            g[j] = -g[j - 1] * (p - j) / ((j + 1.0) * p)
+        alpha = -1.0 / p
+        h = np.empty(n)                  # h_j / p^j
+        h[0] = p ** alpha
+        for m in range(1, n):
+            k = np.arange(1, m + 1)
+            h[m] = np.dot(((alpha + 1.0) * k - m) * g[1:m + 1], h[m - k]) / (m * p)
+        self.f_coef = h / (np.arange(n) + 1.0 / pc)
+
+    def G(self, y):
+        return self.c * np.polynomial.polynomial.polyval(y, self.g_coef)
+
+    def F(self, x):
+        return self.c * np.polynomial.polynomial.polyval(self.p * x, self.f_coef)
+
+    def asin(self, s, x):
+        """asin_p(s) for s in [0, 1) with x = 1 - s given accurately."""
+        y = s ** self.p
+        low = y <= 0.5
+        head = s * self.G(np.where(low, y, 0.0))
+        top = self.pi_half - x ** (1.0 / self.pc) * self.F(np.where(low, 0.0, x))
+        return np.where(low, head, top)
+
+    def asin_over_s(self, y):
+        """G(y) at y in (0, 1), with s and x = 1 - s formed from y."""
+        ls = np.log(y) / self.p
+        s = np.exp(ls)
+        return self.asin(s, -np.expm1(ls)) / s
+
+    def sin_over_z(self, z, s_cut):
+        """sin_p(z)/z for 0 < z <= the sin_p cut, by Newton's method.
+
+        asin_p is convex and increasing, so Newton started where
+        asin_p(s) >= z decreases monotonically to the root.
+        """
+        s = np.minimum(z / self.c, s_cut)
+        for _ in range(100):
+            x = 1.0 - s
+            slope = self.c * (-np.expm1(self.p * np.log1p(-x))) ** (-1.0 / self.p)
+            step = (self.asin(s, x) - z) / slope
+            s = s - step
+            if np.max(np.abs(step)) <= 1e-15:
+                break
+        return s / z
+
+    def sin_tail(self, tau):
+        """K(tau) = (1 - sin_p(z))/tau, tau = (pi_p/2 - z)^q, through the
+        fixed point x = tau F(x)^(-q), a contraction of order q x."""
+        x = tau * self.F(0.0) ** -self.pc
+        for _ in range(100):
+            new = tau * self.F(x) ** -self.pc
+            done = np.max(np.abs(new - x)) <= 1e-17 * np.max(x)
+            x = new
+            if done:
+                break
+        return self.F(x) ** -self.pc
 
 
-def _gl_tail(p: float, pc: float, s: float) -> float:
-    # 64-point Gauss-Legendre for int_s^1 in the desingularized variable.
-    # Only used for s close to 1, where the transformed integrand is
-    # nearly constant.
-    if s >= 1.0:
-        return 0.0
-    w_top = (1.0 - s) ** (1.0 / pc)
-    half = 0.5 * w_top
-    ws = half * (_GL_X + 1.0)
-    xs = ws ** pc
-    om = -np.expm1(p * np.log1p(-xs))
-    vals = ((p - 1.0) / om) ** (1.0 / p) * pc * ws ** (pc - 1.0)
-    return half * float(_GL_W @ vals)
+def _cheb_points(degree: int) -> np.ndarray:
+    # First-kind Chebyshev points, in the order the DCT-II expects.
+    n = degree + 1
+    return np.cos(np.pi * (np.arange(n) + 0.5) / n)
+
+
+def _fit(values: np.ndarray) -> tuple:
+    """Horner coefficients (highest degree first) on [-1, 1] of the
+    interpolant through values at _cheb_points, one row per segment.
+
+    The DCT gives Chebyshev coefficients; an exact integer matrix then
+    maps them to the power basis.  Applying the two in turn keeps the
+    decay of the Chebyshev coefficients; one combined matrix would not.
+    """
+    n = values.shape[-1]
+    cheb = dct(values, type=2, axis=-1) / n
+    cheb[..., 0] *= 0.5
+    to_power = np.eye(n)              # row k: power coefficients of T_k
+    for k in range(2, n):
+        to_power[k, 1:] = 2.0 * to_power[k - 1, :-1]
+        to_power[k] -= to_power[k - 2]
+    power = cheb @ to_power
+    return tuple(tuple(float(a) for a in row[::-1]) for row in np.atleast_2d(power))
+
+
+def _bulk_nodes(top: float) -> np.ndarray:
+    """Chebyshev nodes of _SEGMENTS uniform segments of [0, top], one row
+    per segment."""
+    h = top / _SEGMENTS
+    left = h * np.arange(_SEGMENTS)[:, None]
+    return left + 0.5 * h * (_cheb_points(_DEGREE)[None, :] + 1.0)
 
 
 @dataclass(frozen=True)
-class _Cache:
+class _Kernel:
+    """The evaluation tables of sin_p and asin_p at one exponent."""
+
     p: float
     pc: float
     pi: float
     pi_half: float
-    s_nodes: np.ndarray
-    x_nodes: np.ndarray
-    s_top: float
+    asin_bulk: tuple       # per segment of y = s^p in [0, (1 - x_tail)^p]
+    asin_scale: float      # segments per unit of y
+    x_tail: float
+    asin_tail: tuple       # F on x in [0, x_tail]
+    sin_bulk: tuple        # per segment of y = z^p in [0, z_cut^p]
+    sin_scale: float
+    z_cut: float
+    sin_tail: tuple        # K on tau in [0, tau_cut]
+    tau_scale: float       # 2 / tau_cut
 
 
-_cache_lock = threading.Lock()
-_caches: dict[float, _Cache] = {}
-
-
-def _build_cache(p: float) -> _Cache:
+def _build_kernel(p: float) -> _Kernel:
     pc = p / (p - 1.0)
-    pi_half = _asin_quad(p, pc, 1.0)
+    pi_half = _quarter_period_for(p)
+    ref = _Reference(p, pc, pi_half)
 
-    n = _TABLE_N
-    j = np.arange(n + 1)
-    s_nodes = np.sin(0.5 * math.pi * j / n)
-    s_nodes[0] = 0.0
-    s_nodes[-1] = 1.0
+    x_tail = min(_ASIN_TAIL_X, 3.0 / p)
+    y_max = (1.0 - x_tail) ** p
+    asin_bulk = _fit(ref.asin_over_s(_bulk_nodes(y_max)))
+    asin_tail = _fit(ref.F(0.5 * x_tail * (_cheb_points(_TAIL_DEGREE) + 1.0)))[0]
 
-    x_nodes = np.empty(n + 1)
-    x_nodes[0] = 0.0
-    cut = n - _TABLE_TOP
-    incr = np.array([_gl_defining(p, s_nodes[i], s_nodes[i + 1]) for i in range(cut)])
-    x_nodes[1:cut + 1] = np.cumsum(incr)
-    for i in range(cut + 1, n):
-        x_nodes[i] = pi_half - _gl_tail(p, pc, s_nodes[i])
-    x_nodes[n] = pi_half
+    def zeta_at(x):
+        return x ** (1.0 / pc) * float(ref.F(x))
 
-    # The cumulative and tail-anchored routes must agree where they meet;
-    # if they do not (they always have in practice), rebuild every node
-    # with adaptive quadrature.
-    seam = abs(x_nodes[cut] - (pi_half - _gl_tail(p, pc, s_nodes[cut])))
-    if seam > 5e-13 or np.any(np.diff(x_nodes) <= 0.0):
-        for i in range(1, n):
-            x_nodes[i] = _asin_quad(p, pc, s_nodes[i])
+    zeta_cut = min(max(zeta_at(_SIN_TAIL_X), (1.0 - _SIN_TAIL_Z) * pi_half),
+                   zeta_at(x_tail))
+    tau_cut = zeta_cut ** pc
+    z_cut = pi_half - zeta_cut
+    s_cut = 1.0 - tau_cut * float(ref.sin_tail(np.array([tau_cut]))[0])
+    nodes = _bulk_nodes(z_cut ** p)
+    sin_bulk = _fit(ref.sin_over_z(nodes ** (1.0 / p), s_cut))
+    sin_tail = _fit(ref.sin_tail(0.5 * tau_cut * (_cheb_points(_TAIL_DEGREE) + 1.0)))[0]
 
-    return _Cache(p=p, pc=pc, pi=2.0 * pi_half, pi_half=pi_half,
-                  s_nodes=s_nodes, x_nodes=x_nodes, s_top=float(s_nodes[cut]))
+    return _Kernel(p=p, pc=pc, pi=2.0 * pi_half, pi_half=pi_half,
+                   asin_bulk=asin_bulk, asin_scale=_SEGMENTS / y_max,
+                   x_tail=x_tail, asin_tail=asin_tail, sin_bulk=sin_bulk,
+                   sin_scale=_SEGMENTS / z_cut ** p, z_cut=z_cut,
+                   sin_tail=sin_tail, tau_scale=2.0 / tau_cut)
 
 
-def _cache_for(p: float) -> _Cache:
-    c = _caches.get(p)
-    if c is None:
-        with _cache_lock:
-            c = _caches.get(p)
-            if c is None:
-                c = _build_cache(p)
-                _caches[p] = c
-    return c
+_lock = threading.RLock()
+_quarters: dict[float, float] = {}
+_kernels: dict[float, _Kernel] = {}
 
 
-def _asin_fast(c: _Cache, s: float) -> float:
-    # asin_p on [0, 1] through the table: anchor node plus a short
-    # Gauss-Legendre bridge, or the desingularized tail near s = 1.
-    if s <= 0.0:
-        return 0.0
-    if s >= 1.0:
-        return c.pi_half
-    if s >= c.s_top:
-        return c.pi_half - _gl_tail(c.p, c.pc, s)
-    j = int(np.searchsorted(c.s_nodes, s))
-    a = float(c.s_nodes[j - 1])
-    return float(c.x_nodes[j - 1]) + _gl_defining(c.p, a, s)
+def _memo(table: dict, p: float, build):
+    value = table.get(p)
+    if value is None:
+        with _lock:
+            value = table.get(p)
+            if value is None:
+                value = table[p] = build(p)
+    return value
 
 
-def _sin_core(c: _Cache, z: float) -> float:
-    # Inverse of asin_p on the quarter period [0, pi_p/2].
-    if z <= 0.0:
-        return 0.0
-    if z >= c.pi_half:
-        return 1.0
-    j = int(np.searchsorted(c.x_nodes, z))
-    lo = float(c.s_nodes[j - 1])
-    hi = float(c.s_nodes[j])
-    flo = float(c.x_nodes[j - 1]) - z
-    if flo == 0.0:
-        return lo
-    fhi = float(c.x_nodes[j]) - z
-    if fhi == 0.0:
-        return hi
-    return float(brentq(lambda s: _asin_fast(c, s) - z, lo, hi,
-                        xtol=1e-15, rtol=4 * np.finfo(float).eps, maxiter=200))
+def _quarter_period_for(p: float) -> float:
+    return _memo(_quarters, p, _quarter_period)
 
 
-def _reduce(c: _Cache, x: float) -> tuple[float, float, float]:
+def _kernel_for(p) -> _Kernel:
+    """The tables at exponent p, built on first use."""
+    k = _kernels.get(p) if type(p) is float else None
+    return k if k is not None else _memo(_kernels, _as_p(p), _build_kernel)
+
+
+# -- evaluation ---------------------------------------------------------------
+
+
+def _horner(coef: tuple, t: float) -> float:
+    acc = 0.0
+    for a in coef:
+        acc = acc * t + a
+    return acc
+
+
+def _bulk(table: tuple, scale: float, y: float) -> float:
+    u = y * scale
+    i = min(int(u), _SEGMENTS - 1)
+    return _horner(table[i], 2.0 * (u - i) - 1.0)
+
+
+def _asin_core(k: _Kernel, s: float, x: float) -> tuple[float, float]:
+    """(asin_p(s), pi_p/2 - asin_p(s)) for s in [0, 1], given its
+    complement x = 1 - s; the second entry keeps its relative accuracy
+    as s -> 1."""
+    if x > k.x_tail:
+        z = min(s * _bulk(k.asin_bulk, k.asin_scale, s ** k.p), k.pi_half)
+        return z, k.pi_half - z
+    zeta = min(x ** (1.0 / k.pc) * _horner(k.asin_tail, 2.0 * x / k.x_tail - 1.0),
+               k.pi_half)
+    return k.pi_half - zeta, zeta
+
+
+def _sin_core(k: _Kernel, z: float) -> tuple[float, float]:
+    """(sin_p(z), 1 - sin_p(z)) for z in [0, pi_p/2]."""
+    if z < k.z_cut:
+        if z <= 0.0:
+            return 0.0, 1.0
+        s = min(z * _bulk(k.sin_bulk, k.sin_scale, z ** k.p), 1.0)
+        return s, 1.0 - s
+    if z >= k.pi_half:
+        return 1.0, 0.0
+    tau = (k.pi_half - z) ** k.pc
+    x = min(tau * _horner(k.sin_tail, tau * k.tau_scale - 1.0), 1.0)
+    return 1.0 - x, x
+
+
+def _one_minus_pow(x: float, p: float) -> float:
+    """1 - (1 - x)^p for x in [0, 1], accurate for small x."""
+    return -math.expm1(p * math.log1p(-x)) if x < 1.0 else 1.0
+
+
+def _reduce(k: _Kernel, x: float) -> tuple[float, float, float]:
     # Map x to (z, sign of sin, sign of derivative) with z in [0, pi_p/2].
-    y = math.fmod(x, 2.0 * c.pi)
+    y = math.fmod(x, 2.0 * k.pi)
     if y < 0.0:
-        y += 2.0 * c.pi
-    if y <= c.pi_half:
+        y += 2.0 * k.pi
+    if y <= k.pi_half:
         return y, 1.0, 1.0
-    if y <= c.pi:
-        return c.pi - y, 1.0, -1.0
-    if y <= 1.5 * c.pi:
-        return y - c.pi, -1.0, -1.0
-    return 2.0 * c.pi - y, -1.0, 1.0
+    if y <= k.pi:
+        return k.pi - y, 1.0, -1.0
+    if y <= 1.5 * k.pi:
+        return y - k.pi, -1.0, -1.0
+    return 2.0 * k.pi - y, -1.0, 1.0
 
 
 def pi_p(p) -> float:
     """Return pi_p, the half period of sin_p, from the defining integral."""
-    return _cache_for(_as_p(p)).pi
+    return 2.0 * _quarter_period_for(_as_p(p))
 
 
 def asin_p(p, s: float) -> float:
@@ -276,19 +402,21 @@ def asin_p(p, s: float) -> float:
 
     The result lies in [-pi_p/2, pi_p/2] and is odd in s.
     """
-    pv = _as_p(p)
+    k = _kernel_for(p)
     s = float(s)
     if not -1.0 <= s <= 1.0:
         raise ValueError(f"asin_p argument must lie in [-1, 1], got {s!r}")
-    c = _cache_for(pv)
-    return math.copysign(_asin_fast(c, abs(s)), s) if s != 0.0 else 0.0
+    if s == 0.0:
+        return 0.0
+    a = abs(s)
+    return math.copysign(_asin_core(k, a, 1.0 - a)[0], s)
 
 
 def sin_p(p, x: float) -> float:
     """Return sin_p(x) for any real x (2*pi_p periodic, odd)."""
-    c = _cache_for(_as_p(p))
-    z, sgn, _ = _reduce(c, float(x))
-    return sgn * _sin_core(c, z)
+    k = _kernel_for(p)
+    z, sgn, _ = _reduce(k, float(x))
+    return sgn * _sin_core(k, z)[0]
 
 
 def dsin_p(p, x: float) -> float:
@@ -298,9 +426,7 @@ def dsin_p(p, x: float) -> float:
     ((1 - |sin_p(x)|^p)/(p-1))^(1/p), the sign alternates with the
     quarter period.  At x = 0 this equals (p-1)^(-1/p).
     """
-    pv = _as_p(p)
-    c = _cache_for(pv)
-    z, _, dsgn = _reduce(c, float(x))
-    s = _sin_core(c, z)
-    mag = (_one_minus_pow(s, pv) / (pv - 1.0)) ** (1.0 / pv)
-    return dsgn * mag
+    k = _kernel_for(p)
+    z, _, dsgn = _reduce(k, float(x))
+    _, comp = _sin_core(k, z)
+    return dsgn * (_one_minus_pow(comp, k.p) / (k.p - 1.0)) ** (1.0 / k.p)

@@ -30,6 +30,16 @@ pi_p, so eigenvalues can be located by bisection on the standard
 oscillation-count predicate: lam is below lam_k when the shot has fewer
 than k-1 interior zeros, or has exactly k-1 and ends with the sign it
 had after the last zero.
+
+Near a turning point (|u| close to its amplitude, as on the stiff pieces
+of a high-contrast coefficient) |sin_p| rounds to 1 and 1 - |sin_p|^p
+cannot be formed from it.  The phase there comes from the complement
+instead: 1 - |s0| is computed from the ratio of the two energy terms
+of (u0, v0), the p-trig kernel turns it into the distance of phi0 from
+the nearest quarter period, and at the piece end the kernel returns
+1 - |s1| next to s1, from which the flux is formed.  A float overflow
+or division by zero inside a shot is reported as NonconvergenceError,
+with lam and the failing piece.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from scipy.optimize import brentq
 
 from .errors import BracketError, NonconvergenceError
 from .problem import Eigenpair, Problem, phi_p, phi_p_inv
-from .ptrig import _asin_fast, _cache_for, _one_minus_pow, _reduce, _sin_core, pi_p
+from .ptrig import _asin_core, _kernel_for, _one_minus_pow, _reduce, _sin_core, pi_p
 
 __all__ = [
     "Trajectory", "integrate_ivp", "count_interior_zeros",
@@ -214,7 +224,7 @@ def weyl_bracket(prob: Problem, k: int) -> tuple:
 # -- closed-form propagation on constant pieces ------------------------
 
 
-def _advance(cache, p, pc, av, rv, lam, u0, v0, dx):
+def _advance(kernel, p, pc, av, rv, lam, u0, v0, dx):
     """Advance (u, v) across one constant piece; returns
     (u1, v1, zero_count, (omega, phi0, amp)) with theta-space data for
     zero locations and sampling (None for the flux-constant lam=0 case)."""
@@ -224,18 +234,25 @@ def _advance(cache, p, pc, av, rv, lam, u0, v0, dx):
         crossed = u0 != 0.0 and (u0 * u1 < 0.0 or u1 == 0.0)
         return u1, v0, (1 if crossed else 0), None
     omega = (lam * rv / av) ** (1.0 / p)
-    amp_p = abs(u0) ** p + (p - 1.0) * abs(v0 / av) ** pc / omega ** p
-    amp = amp_p ** (1.0 / p)
-    s0 = min(1.0, max(-1.0, u0 / amp))
-    asin0 = math.copysign(_asin_fast(cache, abs(s0)), s0)
-    phi0 = asin0 if v0 >= 0.0 else cache.pi - asin0
+    pot = abs(u0) ** p
+    kin = (p - 1.0) * abs(v0 / av) ** pc / omega ** p
+    amp = (pot + kin) ** (1.0 / p)
+    # |s0| = (1 + kin/pot)^(-1/p) and its complement, both from the
+    # energy split, so a state near a turning point keeps its phase.
+    if pot == 0.0:
+        s0, x0 = 0.0, 1.0
+    else:
+        e = -math.log1p(kin / pot) / p
+        s0, x0 = math.exp(e), -math.expm1(e)
+    asin0 = math.copysign(_asin_core(kernel, s0, x0)[0], u0)
+    phi0 = asin0 if v0 >= 0.0 else kernel.pi - asin0
     theta1 = phi0 + omega * dx
-    nzero = math.floor(theta1 / cache.pi) - math.floor(phi0 / cache.pi)
+    nzero = math.floor(theta1 / kernel.pi) - math.floor(phi0 / kernel.pi)
 
-    z, sgn, dsgn = _reduce(cache, theta1)
-    s1 = _sin_core(cache, z)
+    z, sgn, dsgn = _reduce(kernel, theta1)
+    s1, x1 = _sin_core(kernel, z)
     u1 = amp * sgn * s1
-    dmag = (_one_minus_pow(s1, p) / (p - 1.0)) ** (1.0 / p)
+    dmag = (_one_minus_pow(x1, p) / (p - 1.0)) ** (1.0 / p)
     up1 = amp * omega * dsgn * dmag
     v1 = av * (math.copysign(abs(up1) ** (p - 1.0), up1) if up1 != 0.0 else 0.0)
     return u1, v1, nzero, (omega, phi0, amp)
@@ -258,25 +275,25 @@ def propagate_piecewise_constant(prob: Problem, lam: float,
         raise ValueError("initial state (0, 0) only yields the trivial solution")
     p = prob.p.p
     pc = prob.p.p_conj
-    cache = _cache_for(p)
+    kernel = _kernel_for(p)
     u, v = u0, v0
     total = 0
     for x0, x1, av, rv in pieces:
-        u, v, nz, _ = _advance(cache, p, pc, av, rv, lam, u, v, x1 - x0)
+        u, v, nz, _ = _advance(kernel, p, pc, av, rv, lam, u, v, x1 - x0)
         total += nz
     if u == 0.0 and total > 0:
         total -= 1  # the endpoint zero is a boundary zero, not interior
     return u, v, total
 
 
-def _pc_zero_positions(pieces, cache, p, pc, lam, u0, v0, length):
+def _pc_zero_positions(pieces, kernel, p, pc, lam, u0, v0, length):
     """Zero locations and piece phase data for one closed-form pass."""
     zeros = []
     desc = []
     u, v = u0, v0
     for x0, x1, av, rv in pieces:
         u_in, v_in = u, v
-        u, v, nz, osc = _advance(cache, p, pc, av, rv, lam, u, v, x1 - x0)
+        u, v, nz, osc = _advance(kernel, p, pc, av, rv, lam, u, v, x1 - x0)
         if osc is None:
             desc.append((x0, x1, av, None, None, None, u_in, v_in))
             if nz:
@@ -285,15 +302,15 @@ def _pc_zero_positions(pieces, cache, p, pc, lam, u0, v0, length):
             continue
         omega, phi0, amp = osc
         desc.append((x0, x1, av, omega, phi0, amp, u_in, v_in))
-        m_lo = math.floor(phi0 / cache.pi)
-        m_hi = math.floor((phi0 + omega * (x1 - x0)) / cache.pi)
+        m_lo = math.floor(phi0 / kernel.pi)
+        m_hi = math.floor((phi0 + omega * (x1 - x0)) / kernel.pi)
         for m in range(m_lo + 1, m_hi + 1):
-            zeros.append(x0 + (m * cache.pi - phi0) / omega)
+            zeros.append(x0 + (m * kernel.pi - phi0) / omega)
     zeros = [z for z in zeros if z < length * (1.0 - 1e-12)]
     return zeros, desc
 
 
-def _pc_sample(desc, cache, p, xs):
+def _pc_sample(desc, kernel, p, xs):
     """Evaluate the closed-form solution at sample points xs."""
     out = np.empty(len(xs))
     j = 0
@@ -305,12 +322,15 @@ def _pc_sample(desc, cache, p, xs):
             up = phi_p_inv(p, v_in / av)
             out[idx] = u_in + up * (x - x0)
         else:
-            z, sgn, _ = _reduce(cache, phi0 + omega * (x - x0))
-            out[idx] = amp * sgn * _sin_core(cache, z)
+            z, sgn, _ = _reduce(kernel, phi0 + omega * (x - x0))
+            out[idx] = amp * sgn * _sin_core(kernel, z)[0]
     return out
 
 
 # -- eigenvalue location ----------------------------------------------
+
+# Float failures a shot can raise; they become NonconvergenceError.
+_NUMERIC_FAILURES = (OverflowError, ZeroDivisionError, FloatingPointError)
 
 
 def _bisect_eigenvalue(prob, k, tol, steps_per_unit, max_iter, bracket):
@@ -318,18 +338,27 @@ def _bisect_eigenvalue(prob, k, tol, steps_per_unit, max_iter, bracket):
     pc = prob.p.p_conj
     pieces = prob.pieces()
     if pieces is not None:
-        cache = _cache_for(p)
+        kernel = _kernel_for(p)
 
         def shoot(lam):
             u, v = 0.0, 1.0
             total = 0
-            for x0, x1, av, rv in pieces:
-                u, v, nz, _ = _advance(cache, p, pc, av, rv, lam, u, v, x1 - x0)
-                total += nz
+            try:
+                for i, (x0, x1, av, rv) in enumerate(pieces):
+                    u, v, nz, _ = _advance(kernel, p, pc, av, rv, lam, u, v, x1 - x0)
+                    total += nz
+            except _NUMERIC_FAILURES as exc:
+                raise NonconvergenceError(
+                    f"closed-form shot at lam={lam!r} failed on piece {i} "
+                    f"[{x0!r}, {x1!r}]: {type(exc).__name__}: {exc}") from exc
             return u, total
     else:
         def shoot(lam):
-            t = integrate_ivp(prob, lam, 0.0, 1.0, steps_per_unit=steps_per_unit)
+            try:
+                t = integrate_ivp(prob, lam, 0.0, 1.0, steps_per_unit=steps_per_unit)
+            except _NUMERIC_FAILURES as exc:
+                raise NonconvergenceError(
+                    f"RK4 shot at lam={lam!r} failed: {type(exc).__name__}: {exc}") from exc
             return float(t.u[-1]), count_interior_zeros(t)
 
     lo, hi = bracket if bracket is not None else weyl_bracket(prob, k)
@@ -400,11 +429,11 @@ def solve_eigenpair(prob: Problem, k: int, tol: float = 1e-9, *,
     L = prob.length
 
     if pieces is not None:
-        cache = _cache_for(p)
-        zeros, desc = _pc_zero_positions(pieces, cache, p, pc, lo, 0.0, 1.0, L)
+        kernel = _kernel_for(p)
+        zeros, desc = _pc_zero_positions(pieces, kernel, p, pc, lo, 0.0, 1.0, L)
         base = np.linspace(0.0, L, samples)
         grid = np.unique(np.concatenate([base, np.array(prob.breakpoints())]))
-        u = _pc_sample(desc, cache, p, grid)
+        u = _pc_sample(desc, kernel, p, grid)
     else:
         traj = integrate_ivp(prob, lo, 0.0, 1.0, steps_per_unit=steps_per_unit)
         grid, u = traj.grid, traj.u

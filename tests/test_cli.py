@@ -284,3 +284,20 @@ def test_exit_code_sweep_failure(tmp_path, capsys):
     code, _, err = run_cli(tmp_path, capsys, "sweep", doc)
     assert code == 3
     assert "solver error" in err
+
+
+def test_exit_code_overflow_in_a_shot(tmp_path, capsys):
+    # 200 pieces alternating a = 1 and 1e6 overflow the closed-form state
+    # during bisection; that is a solver failure, not a traceback.
+    n = 200
+    doc = {"problem": {"length": 1.0, "p": 2.0,
+                       "a": {"kind": "piecewise-constant",
+                             "breakpoints": [i / n for i in range(n + 1)],
+                             "values": [1.0 if i % 2 == 0 else 1e6 for i in range(n)]},
+                       "rho": {"kind": "constant", "value": 1.0}},
+           "parameters": {"k": 3}}
+    code, out, err = run_cli(tmp_path, capsys, "solve", doc)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("solver error:")
+    assert "lam=" in err and "piece" in err

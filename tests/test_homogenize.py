@@ -9,6 +9,8 @@ from plapeig import (Coefficient, Problem, SweepError, check_weyl,
                      convergence_report, effective_coefficient, effective_weight,
                      epsilon_sweep, homogenized_eigenvalue, pi_p)
 
+from exact_p2 import transfer_matrix_eigenvalue_p2
+
 
 def two_phase_cell(values=(1.0, 4.0)):
     return Coefficient.piecewise_constant([0.0, 0.5, 1.0], list(values))
@@ -125,6 +127,20 @@ def test_sweep_two_phase_converges():
     assert all(b < a for a, b in zip(sweep.rel_errors, sweep.rel_errors[1:]))
     assert sweep.finest is not None
     assert sweep.finest.k == 1 and len(sweep.finest.zeros) == 0
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_fine_sweep_converges_at_second_order(p):
+    sweep = epsilon_sweep(cell_problem(p=p), 1, [256, 1024], keep_eigenfunction=False)
+    gaps = [abs(lam - sweep.lambda_star) for lam in sweep.lambdas]
+    order = math.log(gaps[0] / gaps[1]) / math.log(4.0)
+    assert 1.8 <= order <= 2.2
+    if p == 2.0:
+        n = 1024
+        exact = transfer_matrix_eigenvalue_p2(
+            [0.5 / n] * (2 * n), [1.0, 4.0] * n, 1,
+            (0.5 * math.pi ** 2, 8.0 * math.pi ** 2))
+        assert sweep.lambdas[-1] == pytest.approx(exact, rel=1e-8)
 
 
 def test_sweep_eigenvalues_stay_in_weyl_brackets():

@@ -1,9 +1,10 @@
 """Generalized trigonometric functions against independent oracles.
 
-The implementation evaluates the defining integral; the oracles here are
-the Beta-function closed form for pi_p and the regularized incomplete
-Beta function for asin_p, so agreement is a real cross-check and not a
-tautology.
+The implementation evaluates pi_p by quadrature of the defining integral
+and sin_p/asin_p from tables built on its power series; the oracles here
+are the Beta-function closed form for pi_p and the regularized incomplete
+Beta function for asin_p and its complement, so agreement is a real
+cross-check and not a tautology.
 """
 
 import math
@@ -13,6 +14,7 @@ import pytest
 from scipy.special import betainc
 
 from plapeig import Exponent, asin_p, dsin_p, pi_p, sin_p
+from plapeig.ptrig import _asin_core, _kernel_for, _sin_core
 
 P_GRID = [1.2, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0]
 
@@ -25,6 +27,14 @@ def pi_p_closed_form(p: float) -> float:
 def asin_p_beta(p: float, s: float) -> float:
     # asin_p(s) = (pi_p/2) * I(1/p, 1-1/p; s^p), by the substitution t^p = x.
     return 0.5 * pi_p_closed_form(p) * betainc(1.0 / p, 1.0 - 1.0 / p, s ** p)
+
+
+def asin_p_complement_beta(p: float, x: float) -> float:
+    # pi_p/2 - asin_p(1 - x) = (pi_p/2) * I(1-1/p, 1/p; 1 - (1-x)^p), by the
+    # symmetry of the incomplete Beta function; the argument is formed
+    # without cancellation, which asin_p_beta cannot do near s = 1.
+    w = -math.expm1(p * math.log1p(-x))
+    return 0.5 * pi_p_closed_form(p) * betainc(1.0 - 1.0 / p, 1.0 / p, w)
 
 
 # -- pi_p ---------------------------------------------------------------
@@ -83,7 +93,7 @@ def test_exponent_rejects_p_at_or_below_one():
 # -- asin_p -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p", P_GRID)
+@pytest.mark.parametrize("p", P_GRID + [1.05, 150.0])
 def test_asin_p_matches_beta_oracle(p):
     ss = np.linspace(0.0, 1.0, 41)
     for s in ss:
@@ -107,6 +117,18 @@ def test_asin_p_monotone():
     for p in (1.3, 2.0, 4.0):
         xs = [asin_p(p, s) for s in ss]
         assert all(b > a for a, b in zip(xs, xs[1:]))
+
+
+@pytest.mark.parametrize("p", P_GRID)
+def test_asin_complement_matches_beta_oracle(p):
+    # The kernel returns pi_p/2 - asin_p(s) next to asin_p(s), computed
+    # from the complement x = 1 - s; it must keep its relative accuracy
+    # down to x = 1e-14, where s itself is barely distinct from 1.
+    k = _kernel_for(p)
+    for x in np.logspace(-14.0, -1.0, 53):
+        x = float(x)
+        ref = asin_p_complement_beta(p, x)
+        assert _asin_core(k, 1.0 - x, x)[1] == pytest.approx(ref, rel=1e-12)
 
 
 def test_asin_p_domain_error():
@@ -154,6 +176,37 @@ def test_round_trips(p):
         assert sin_p(p, asin_p(p, s)) == pytest.approx(float(s), abs=1e-10)
     for x in rng.uniform(0.0, 0.5 * pip, 50):
         assert asin_p(p, sin_p(p, x)) == pytest.approx(float(x), abs=1e-10)
+
+
+def test_round_trip_near_the_top_through_the_complement():
+    # Near z = pi_p/2 at p = 1.2, 1 - sin_p(z) ~ (pi_p/2 - z)^6 / 6 falls
+    # below the spacing of doubles near 1, so asin_p(sin_p(z)) on the
+    # rounded s cannot return z.  The kernel's (s, 1 - s) pairs can, as
+    # long as sin_p's tail starts low enough; a tail cut at 0.97 pi_p/2
+    # misses this by 2e-9.
+    p = 1.2
+    k = _kernel_for(p)
+    half = 0.5 * pi_p(p)
+    for z in half - np.linspace(0.0, 0.2, 401):
+        z = float(z)
+        s, x = _sin_core(k, z)
+        assert s + x == pytest.approx(1.0, abs=1e-16)
+        assert _asin_core(k, s, x)[0] == pytest.approx(z, abs=1e-10)
+
+
+@pytest.mark.parametrize("p", P_GRID)
+def test_values_finite_on_dense_grids_with_endpoints(p):
+    half = 0.5 * pi_p(p)
+    ss = np.linspace(-1.0, 1.0, 2001)       # holds s = -1, 0 and 1 exactly
+    quarter = np.linspace(0.0, half, 1001)  # holds z = 0 and pi_p/2 exactly
+    zs = np.concatenate([quarter, -quarter, half + quarter])
+    asins = np.array([asin_p(p, s) for s in ss])
+    sins = np.array([sin_p(p, z) for z in zs])
+    dsins = np.array([dsin_p(p, z) for z in zs])
+    assert np.all(np.isfinite(asins)) and np.all(np.abs(asins) <= half)
+    assert np.all(np.isfinite(sins)) and np.all(np.abs(sins) <= 1.0)
+    assert np.all(np.isfinite(dsins))
+    assert asin_p(p, 1.0) == half and sin_p(p, half) == 1.0 and dsin_p(p, half) == 0.0
 
 
 @pytest.mark.parametrize("p", P_GRID)

@@ -11,6 +11,8 @@ from plapeig import (BracketError, Coefficient, NonconvergenceError, Problem,
                      propagate_piecewise_constant, sin_p, solve_eigenpair,
                      solve_eigenvalue, weyl_bracket)
 
+from exact_p2 import transfer_matrix_eigenvalue_p2
+
 
 def constant_problem(p=2.0, a=1.0, rho=1.0, length=1.0):
     return Problem(length, p,
@@ -21,6 +23,18 @@ def constant_problem(p=2.0, a=1.0, rho=1.0, length=1.0):
 def two_phase_problem(p=2.0, a_vals=(1.0, 4.0), rho=1.0, length=1.0):
     a = Coefficient.piecewise_constant([0.0, 0.5 * length, length], list(a_vals))
     return Problem(length, p, a, Coefficient.constant(rho, (0.0, length)))
+
+
+CONTRAST_PIECES = 50
+CONTRAST_A = [1.0 if i % 2 == 0 else 1e6 for i in range(CONTRAST_PIECES)]
+
+
+def contrast_problem(p):
+    # 50 equal pieces with a alternating 1 and 1e6, rho = 1: on the stiff
+    # pieces the solution sits at a turning point of its phase.
+    edges = [i / CONTRAST_PIECES for i in range(CONTRAST_PIECES + 1)]
+    return Problem(1.0, p, Coefficient.piecewise_constant(edges, CONTRAST_A),
+                   Coefficient.constant(1.0))
 
 
 # -- integrate_ivp ------------------------------------------------------
@@ -268,6 +282,30 @@ def test_rk4_eigenpair_zeros():
     eig = solve_eigenpair(prob, 2, 1e-7, steps_per_unit=1500)
     assert len(eig.zeros) == 1
     assert eig.zeros[0] == pytest.approx(0.5, abs=1e-5)
+
+
+def test_high_contrast_first_eigenvalue_p15():
+    # Reference: bisection on RK4 shots of integrate_ivp, which shares no
+    # code with the closed form; 1e4 and 2e4 steps per unit both bracket
+    # lam_1 in [7.5205839, 7.5205841].
+    lam = solve_eigenvalue(contrast_problem(1.5), 1)
+    assert lam == pytest.approx(7.520584, rel=1e-7)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_high_contrast_eigenfunctions_are_normalized(k):
+    p = 1.5
+    eig = solve_eigenpair(contrast_problem(p), k)
+    w = np.abs(eig.u) ** p
+    norm = float(np.sum(0.5 * (w[1:] + w[:-1]) * np.diff(eig.grid)))
+    assert norm == pytest.approx(1.0, abs=1e-9)
+
+
+def test_high_contrast_second_eigenvalue_p2_matches_transfer_matrix():
+    prob = contrast_problem(2.0)
+    exact = transfer_matrix_eigenvalue_p2([1.0 / CONTRAST_PIECES] * CONTRAST_PIECES,
+                                          CONTRAST_A, 2, weyl_bracket(prob, 2))
+    assert solve_eigenvalue(prob, 2) == pytest.approx(exact, rel=1e-8)
 
 
 def test_bracket_override_failures():
