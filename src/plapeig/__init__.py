@@ -17,7 +17,7 @@ Layout:
 - ``ptrig``: pi_p, sin_p and friends (the constant-coefficient spectrum).
 - ``problem``: coefficients, problem containers, the pointwise identity.
 - ``shooting``: initial value integration, zero counting, eigenvalue
-  solving by nodal-count bisection.
+  solving by nodal-count bracketing with an Illinois endgame.
 - ``variational``: Rayleigh quotient minimization on a mesh, second
   eigenvalue by nodal equalization, bound and nodal-length checks.
 - ``homogenize``: effective coefficients and the small-period sweep.
@@ -27,8 +27,8 @@ Layout:
 from .errors import BracketError, ConfigError, NonconvergenceError, SweepError
 from .homogenize import (SweepResult, convergence_report, effective_coefficient,
                          effective_weight, epsilon_sweep, homogenized_eigenvalue)
-from .problem import (Coefficient, Eigenpair, Problem, eval_coeff, phi_p,
-                      phi_p_inv, picone_lr, potential)
+from .problem import (Coefficient, Eigenpair, Problem, phi_p, phi_p_inv,
+                      picone_lr, potential)
 from .ptrig import Exponent, asin_p, dsin_p, pi_p, sin_p
 from .shooting import (Trajectory, count_interior_zeros, integrate_ivp,
                        interior_zero_locations, propagate_piecewise_constant,
@@ -42,7 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BracketError", "ConfigError", "NonconvergenceError", "SweepError",
     "Exponent", "pi_p", "asin_p", "sin_p", "dsin_p",
-    "Coefficient", "Problem", "Eigenpair", "eval_coeff",
+    "Coefficient", "Problem", "Eigenpair",
     "phi_p", "phi_p_inv", "potential", "picone_lr",
     "Trajectory", "integrate_ivp", "count_interior_zeros",
     "interior_zero_locations", "propagate_piecewise_constant",

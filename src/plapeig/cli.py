@@ -33,7 +33,9 @@ Subcommands and their parameters (defaults in parentheses):
   p (required; number or list), samples (65), periods (2.0).
   CSV columns: p, pi_p, x, sin_p, dsin_p.
 - ``solve``: k-th eigenvalue by shooting.
-  k (1), tol (1e-9), steps_per_unit (10000), samples (1025), max_iter (200).
+  k (1), tol (1e-9), steps_per_unit (10000), samples (1025), max_iter (200;
+  the budget of bracketing shots, bisection then Illinois regula falsi,
+  10-20 of which reach tol 1e-9 on typical problems).
   CSV columns: k, lambda, n_zeros.
 - ``lambda1-fem``: first eigenvalue by Rayleigh quotient descent.
   n (400), tol (1e-8), max_iter (2000).  CSV columns: n, lambda1, iterations.

@@ -23,7 +23,7 @@ from .ptrig import Exponent, _as_p
 
 __all__ = [
     "Coefficient", "Problem", "Eigenpair",
-    "phi_p", "phi_p_inv", "eval_coeff", "potential", "picone_lr",
+    "phi_p", "phi_p_inv", "potential", "picone_lr",
 ]
 
 PIECEWISE_CONSTANT = "piecewise-constant"
@@ -181,6 +181,19 @@ class Coefficient:
         w = (x - bs[i]) / (bs[i + 1] - bs[i])
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
+    def _at(self, xs: np.ndarray) -> np.ndarray:
+        """Values at an array of points in the domain of a piecewise-constant
+        or piecewise-linear coefficient, bit-identical to calling it at each
+        point (the same right-continuous search, clamp and weights)."""
+        bs = np.array(self.breakpoints)
+        vs = np.array(self.values)
+        i = np.searchsorted(bs, xs, side="right") - 1
+        if self.kind == PIECEWISE_CONSTANT:
+            return vs[np.clip(i, 0, len(vs) - 1)]
+        i = np.clip(i, 0, len(bs) - 2)
+        w = (xs - bs[i]) / (bs[i + 1] - bs[i])
+        return (1.0 - w) * vs[i] + w * vs[i + 1]
+
     def lower(self) -> float:
         if self.kind == PERIODIC_CELL:
             return self.cell.lower()
@@ -242,11 +255,6 @@ class Coefficient:
         """Like ``materialized`` but shifted to start at 0."""
         m = self.materialized(x0, x1)
         return replace(m, breakpoints=tuple(b - x0 for b in m.breakpoints))
-
-
-def eval_coeff(c: Coefficient, x: float) -> float:
-    """Value of a coefficient at x (same as calling it)."""
-    return c(x)
 
 
 @dataclass(frozen=True)

@@ -288,7 +288,7 @@ def test_exit_code_sweep_failure(tmp_path, capsys):
 
 def test_exit_code_overflow_in_a_shot(tmp_path, capsys):
     # 200 pieces alternating a = 1 and 1e6 overflow the closed-form state
-    # during bisection; that is a solver failure, not a traceback.
+    # during bracketing; that is a solver failure, not a traceback.
     n = 200
     doc = {"problem": {"length": 1.0, "p": 2.0,
                        "a": {"kind": "piecewise-constant",

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from plapeig import (Coefficient, Eigenpair, Problem, eval_coeff, phi_p,
-                     phi_p_inv, picone_lr, potential)
+from plapeig import (Coefficient, Eigenpair, Problem, phi_p, phi_p_inv,
+                     picone_lr, potential)
 
 # -- phi_p and its inverse ----------------------------------------------
 
@@ -143,21 +143,21 @@ def two_phase():
 
 def test_eval_coeff_piecewise_constant():
     c = two_phase()
-    assert eval_coeff(c, 0.25) == 1.0
-    assert eval_coeff(c, 0.5) == 4.0  # right-continuous at the jump
-    assert eval_coeff(c, 0.0) == 1.0
-    assert eval_coeff(c, 1.0) == 4.0  # closed right end
+    assert c(0.25) == 1.0
+    assert c(0.5) == 4.0  # right-continuous at the jump
+    assert c(0.0) == 1.0
+    assert c(1.0) == 4.0  # closed right end
     with pytest.raises(ValueError):
-        eval_coeff(c, 1.5)
+        c(1.5)
     with pytest.raises(ValueError):
-        eval_coeff(c, -0.1)
+        c(-0.1)
 
 
 def test_eval_coeff_periodic_cell():
     c = Coefficient.periodic(two_phase(), 0.1)
-    assert eval_coeff(c, 0.77) == 4.0  # fractional part 0.7 >= 0.5
-    assert eval_coeff(c, 0.02) == 1.0
-    assert eval_coeff(c, -0.03) == 4.0  # fractional part 0.7
+    assert c(0.77) == 4.0  # fractional part 0.7 >= 0.5
+    assert c(0.02) == 1.0
+    assert c(-0.03) == 4.0  # fractional part 0.7
 
 
 def test_periodic_cell_is_periodic_at_samples():
@@ -177,11 +177,11 @@ def test_periodic_linear_cell_periodicity():
 
 def test_eval_coeff_piecewise_linear():
     c = Coefficient.piecewise_linear([0.0, 1.0, 2.0], [1.0, 3.0, 2.0])
-    assert eval_coeff(c, 0.0) == 1.0
-    assert eval_coeff(c, 0.5) == pytest.approx(2.0)
-    assert eval_coeff(c, 1.0) == pytest.approx(3.0)
-    assert eval_coeff(c, 1.5) == pytest.approx(2.5)
-    assert eval_coeff(c, 2.0) == pytest.approx(2.0)
+    assert c(0.0) == 1.0
+    assert c(0.5) == pytest.approx(2.0)
+    assert c(1.0) == pytest.approx(3.0)
+    assert c(1.5) == pytest.approx(2.5)
+    assert c(2.0) == pytest.approx(2.0)
 
 
 def test_coefficient_bounds():

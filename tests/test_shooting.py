@@ -1,4 +1,4 @@
-"""Shooting integration, zero counting, and eigenvalue bisection."""
+"""Shooting integration, zero counting, and eigenvalue bracketing."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from plapeig import (BracketError, Coefficient, NonconvergenceError, Problem,
                      Trajectory, count_interior_zeros, dsin_p, integrate_ivp,
-                     interior_zero_locations, phi_p, pi_p,
+                     interior_zero_locations, phi_p, phi_p_inv, pi_p,
                      propagate_piecewise_constant, sin_p, solve_eigenpair,
                      solve_eigenvalue, weyl_bracket)
 
@@ -78,6 +78,71 @@ def test_drift_meets_production_target():
     assert t.hamiltonian_drift < 1e-8
 
 
+def _reference_rk4(prob, lam, steps_per_unit):
+    # The stepper as a plain loop: Coefficient, phi_p and phi_p_inv at
+    # every stage, on the same breakpoint-aligned steps.
+    p = prob.p.p
+    edges = [0.0] + prob.breakpoints() + [prob.length]
+    u, v = 0.0, 1.0
+    xs, us, vs = [0.0], [u], [v]
+    for x0, x1 in zip(edges, edges[1:]):
+        a = prob.a.materialized(x0, x1)
+        rho = prob.rho.materialized(x0, x1)
+
+        def rhs(x, u, v):
+            x = min(max(x, x0), x1)
+            return phi_p_inv(p, v / a(x)), -lam * rho(x) * phi_p(p, u)
+
+        n = max(1, math.ceil(steps_per_unit * (x1 - x0)))
+        h = (x1 - x0) / n
+        for i in range(n):
+            x = x0 + i * h
+            k1 = rhs(x, u, v)
+            k2 = rhs(x + 0.5 * h, u + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
+            k3 = rhs(x + 0.5 * h, u + 0.5 * h * k2[0], v + 0.5 * h * k2[1])
+            k4 = rhs(x + h, u + h * k3[0], v + h * k3[1])
+            u += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            v += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            xs.append(x1 if i == n - 1 else x0 + (i + 1) * h)
+            us.append(u)
+            vs.append(v)
+    return np.array(xs), np.array(us), np.array(vs)
+
+
+def _rk4_problems(p):
+    C = Coefficient
+    two_phase = C.piecewise_constant([0.0, 0.5, 1.0], [1.0, 4.0])
+    return [
+        Problem(1.0, p, C.piecewise_linear([0.0, 0.4, 1.0], [1.0, 3.0, 2.0]),
+                C.piecewise_linear([0.0, 1.0], [1.0, 2.0])),
+        Problem(1.0, p, C.periodic(two_phase, 0.3),
+                C.piecewise_constant([0.0, 0.45, 1.0], [1.0, 2.0])),
+        Problem(1.0, p, C.periodic(C.piecewise_linear([0.0, 0.5, 1.0], [1.0, 3.0, 1.0]), 0.25),
+                C.periodic(two_phase, 0.5)),
+    ]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_integrate_matches_per_stage_reference_bitwise(p):
+    for prob in _rk4_problems(p):
+        lam = 0.5 * sum(weyl_bracket(prob, 2))
+        t = integrate_ivp(prob, lam, steps_per_unit=10_000)
+        grid, u, v = _reference_rk4(prob, lam, 10_000)
+        assert np.array_equal(t.grid, grid)
+        assert np.array_equal(t.u, u)
+        assert np.array_equal(t.v, v)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_integrate_reports_a_state_that_leaves_the_floats(p):
+    # At p = 3 the state turns into inf/NaN; at p = 1.5 the power in the
+    # flux overflows first.
+    prob = Problem(1.0, p, Coefficient.piecewise_linear([0.0, 1.0], [1.0, 3.0]),
+                   Coefficient.constant(1.0))
+    with pytest.raises(NonconvergenceError, match=r"lam=1e\+40 failed on piece 0"):
+        integrate_ivp(prob, 1e40, steps_per_unit=100)
+
+
 def test_integrate_rejects_bad_inputs():
     prob = constant_problem()
     with pytest.raises(ValueError):
@@ -121,6 +186,7 @@ def test_zero_count_on_synthetic_sin_p_samples():
     grid = np.linspace(0.0, 1.0, 4001)
     u = np.array([sin_p(p, 3.0 * pip * x) for x in grid])
     v = np.array([phi_p(p, 3.0 * pip * dsin_p(p, 3.0 * pip * x)) for x in grid])
+    u[-1] = 0.0  # the Dirichlet value, not a rounding residue of sin_p(3 pi_p)
     t = Trajectory(grid=grid, u=u, v=v, hamiltonian_drift=0.0)
     assert count_interior_zeros(t) == 2
     zs = interior_zero_locations(t)
@@ -306,6 +372,25 @@ def test_high_contrast_second_eigenvalue_p2_matches_transfer_matrix():
     exact = transfer_matrix_eigenvalue_p2([1.0 / CONTRAST_PIECES] * CONTRAST_PIECES,
                                           CONTRAST_A, 2, weyl_bracket(prob, 2))
     assert solve_eigenvalue(prob, 2) == pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_endgame_converges_in_twenty_iterations(p):
+    # Midpoint bisection from the Weyl bracket to tol 1e-9 takes 34.
+    prob = two_phase_problem(p=p)
+    for k in (1, 2, 3):
+        lam = solve_eigenvalue(prob, k, max_iter=20)
+        assert propagate_piecewise_constant(prob, lam * (1.0 - 2e-9))[2] == k - 1
+        assert propagate_piecewise_constant(prob, lam * (1.0 + 2e-9))[2] == k
+
+
+def test_endgame_on_high_contrast_pieces():
+    # Bisection takes 52 iterations from the 1e6-wide Weyl bracket.
+    prob = contrast_problem(2.0)
+    for k in range(1, 6):
+        exact = transfer_matrix_eigenvalue_p2([1.0 / CONTRAST_PIECES] * CONTRAST_PIECES,
+                                              CONTRAST_A, k, weyl_bracket(prob, k))
+        assert solve_eigenvalue(prob, k, max_iter=40) == pytest.approx(exact, rel=1e-8)
 
 
 def test_bracket_override_failures():
