@@ -182,9 +182,12 @@ class Coefficient:
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
     def _at(self, xs: np.ndarray) -> np.ndarray:
-        """Values at an array of points in the domain of a piecewise-constant
-        or piecewise-linear coefficient, bit-identical to calling it at each
-        point (the same right-continuous search, clamp and weights)."""
+        """Values at an array of points in the domain, bit-identical to
+        calling the coefficient at each point (the same fractional part,
+        right-continuous search, clamp and weights)."""
+        if self.kind == PERIODIC_CELL:
+            y = xs / self.period
+            return self.cell._at(y - np.floor(y))
         bs = np.array(self.breakpoints)
         vs = np.array(self.values)
         i = np.searchsorted(bs, xs, side="right") - 1

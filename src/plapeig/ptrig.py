@@ -58,6 +58,14 @@ call at that exponent (about 20 ms; pi_p builds none) and kept for the
 life of the process.  Both functions then cost a few microseconds per
 call and agree with the incomplete Beta function to a few units in the
 last place.
+
+The private _sin_array evaluates sin_p on a whole array, from the same
+tables (the bulk table is also kept as an array when the kernel is
+built) and through the same branches and Horner sums; the solvers use
+it to sample eigenfunctions, at about 0.2 us per point against 3 us for
+a scalar call.  It agrees with sin_p to a few units in the last place:
+numpy's pow rounds z^p differently from the C library's in a few
+percent of arguments, and sin_p'(z) z / p carries that one ulp over.
 """
 
 from __future__ import annotations
@@ -271,6 +279,7 @@ class _Kernel:
     x_tail: float
     asin_tail: tuple       # F on x in [0, x_tail]
     sin_bulk: tuple        # per segment of y = z^p in [0, z_cut^p]
+    sin_bulk_cols: np.ndarray  # sin_bulk transposed, one row per degree
     sin_scale: float
     z_cut: float
     sin_tail: tuple        # K on tau in [0, tau_cut]
@@ -297,11 +306,14 @@ def _build_kernel(p: float) -> _Kernel:
     s_cut = 1.0 - tau_cut * float(ref.sin_tail(np.array([tau_cut]))[0])
     nodes = _bulk_nodes(z_cut ** p)
     sin_bulk = _fit(ref.sin_over_z(nodes ** (1.0 / p), s_cut))
+    sin_bulk_cols = np.array(sin_bulk).T.copy()
+    sin_bulk_cols.flags.writeable = False
     sin_tail = _fit(ref.sin_tail(0.5 * tau_cut * (_cheb_points(_TAIL_DEGREE) + 1.0)))[0]
 
     return _Kernel(p=p, pc=pc, pi=2.0 * pi_half, pi_half=pi_half,
                    asin_bulk=asin_bulk, asin_scale=_SEGMENTS / y_max,
                    x_tail=x_tail, asin_tail=asin_tail, sin_bulk=sin_bulk,
+                   sin_bulk_cols=sin_bulk_cols,
                    sin_scale=_SEGMENTS / z_cut ** p, z_cut=z_cut,
                    sin_tail=sin_tail, tau_scale=2.0 / tau_cut)
 
@@ -371,6 +383,39 @@ def _sin_core(k: _Kernel, z: float) -> tuple[float, float]:
     tau = (k.pi_half - z) ** k.pc
     x = min(tau * _horner(k.sin_tail, tau * k.tau_scale - 1.0), 1.0)
     return 1.0 - x, x
+
+
+def _sin_array(k: _Kernel, x: np.ndarray) -> np.ndarray:
+    """sin_p at every point of an array: the branches of _reduce and
+    _sin_core taken elementwise, on the same tables and with the same
+    operation order.  Only the powers can round differently (numpy's pow
+    against the C library's), which moves a value by a few ulps."""
+    two_pi = 2.0 * k.pi
+    y = np.fmod(x, two_pi)
+    y = np.where(y < 0.0, y + two_pi, y)
+    z = np.where(y <= k.pi_half, y,
+                 np.where(y <= k.pi, k.pi - y,
+                          np.where(y <= 1.5 * k.pi, y - k.pi, two_pi - y)))
+    s = np.where(z >= k.pi_half, 1.0, 0.0)
+    bulk = (z > 0.0) & (z < k.z_cut)
+    zb = z[bulk]
+    u = zb ** k.p * k.sin_scale
+    i = np.minimum(u.astype(np.intp), _SEGMENTS - 1)
+    t = 2.0 * (u - i) - 1.0
+    acc = k.sin_bulk_cols[0][i]
+    for col in k.sin_bulk_cols[1:]:
+        acc *= t
+        acc += col[i]
+    s[bulk] = np.minimum(zb * acc, 1.0)
+    tail = (z >= k.z_cut) & (z < k.pi_half)
+    tau = (k.pi_half - z[tail]) ** k.pc
+    t = tau * k.tau_scale - 1.0
+    acc = np.full_like(t, k.sin_tail[0])
+    for a in k.sin_tail[1:]:
+        acc *= t
+        acc += a
+    s[tail] = 1.0 - np.minimum(tau * acc, 1.0)
+    return np.where(y <= k.pi, s, -s)
 
 
 def _one_minus_pow(x: float, p: float) -> float:

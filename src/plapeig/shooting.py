@@ -65,7 +65,8 @@ from scipy.optimize import brentq
 
 from .errors import BracketError, NonconvergenceError
 from .problem import Eigenpair, Problem, phi_p_inv
-from .ptrig import _asin_core, _kernel_for, _one_minus_pow, _reduce, _sin_core, pi_p
+from .ptrig import (_asin_core, _kernel_for, _one_minus_pow, _reduce, _sin_array,
+                    _sin_core, pi_p)
 
 __all__ = [
     "Trajectory", "integrate_ivp", "count_interior_zeros",
@@ -214,21 +215,9 @@ def count_interior_zeros(t: Trajectory) -> int:
     """Number of interior zeros of u along the trajectory (simple sign
     changes; an exact zero at an interior grid node counts once)."""
     u = t.u
-    n = len(u)
-    count = 0
-    last = math.copysign(1.0, u[0]) if u[0] != 0.0 else 0.0
-    for i in range(1, n):
-        ui = u[i]
-        if ui == 0.0:
-            if i < n - 1:
-                count += 1
-            last = 0.0
-            continue
-        s = math.copysign(1.0, ui)
-        if last != 0.0 and s != last:
-            count += 1
-        last = s
-    return count
+    nonzero = u != 0.0
+    changes = nonzero[:-1] & nonzero[1:] & (np.signbit(u[:-1]) != np.signbit(u[1:]))
+    return int(np.count_nonzero(~nonzero[1:-1]) + np.count_nonzero(changes))
 
 
 def interior_zero_locations(t: Trajectory) -> np.ndarray:
@@ -311,7 +300,8 @@ def propagate_piecewise_constant(prob: Problem, lam: float,
     """Propagate (u, v) across a piecewise-constant problem in closed form.
 
     Returns (u(L), v(L), n) with n the number of interior zeros of u.
-    Raises ValueError unless both coefficients are piecewise constant.
+    Raises ValueError unless both coefficients are piecewise constant,
+    and NonconvergenceError if the state overflows on a piece.
     """
     pieces = prob.pieces()
     if pieces is None:
@@ -321,14 +311,25 @@ def propagate_piecewise_constant(prob: Problem, lam: float,
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
     if u0 == 0.0 and v0 == 0.0:
         raise ValueError("initial state (0, 0) only yields the trivial solution")
-    p = prob.p.p
-    pc = prob.p.p_conj
-    kernel = _kernel_for(p)
+    return _propagate(pieces, _kernel_for(prob.p.p), prob.p.p, prob.p.p_conj, lam, u0, v0)
+
+
+# Float failures a shot can raise; they become NonconvergenceError.
+_NUMERIC_FAILURES = (OverflowError, ZeroDivisionError, FloatingPointError)
+
+
+def _propagate(pieces, kernel, p, pc, lam, u0, v0):
+    """(u(L), v(L), interior zero count) of one closed-form shot."""
     u, v = u0, v0
     total = 0
-    for x0, x1, av, rv in pieces:
-        u, v, nz, _ = _advance(kernel, p, pc, av, rv, lam, u, v, x1 - x0)
-        total += nz
+    try:
+        for i, (x0, x1, av, rv) in enumerate(pieces):
+            u, v, nz, _ = _advance(kernel, p, pc, av, rv, lam, u, v, x1 - x0)
+            total += nz
+    except _NUMERIC_FAILURES as exc:
+        raise NonconvergenceError(
+            f"closed-form shot at lam={lam!r} failed on piece {i} "
+            f"[{x0!r}, {x1!r}]: {type(exc).__name__}: {exc}") from exc
     if u == 0.0 and total > 0:
         total -= 1  # the endpoint zero is a boundary zero, not interior
     return u, v, total
@@ -359,26 +360,21 @@ def _pc_zero_positions(pieces, kernel, p, pc, lam, u0, v0, length):
 
 
 def _pc_sample(desc, kernel, p, xs):
-    """Evaluate the closed-form solution at sample points xs."""
-    out = np.empty(len(xs))
-    j = 0
-    for idx, x in enumerate(xs):
-        while j + 1 < len(desc) and x > desc[j][1]:
-            j += 1
-        x0, x1, av, omega, phi0, amp, u_in, v_in = desc[j]
-        if omega is None:
-            up = phi_p_inv(p, v_in / av)
-            out[idx] = u_in + up * (x - x0)
-        else:
-            z, sgn, _ = _reduce(kernel, phi0 + omega * (x - x0))
-            out[idx] = amp * sgn * _sin_core(kernel, z)[0]
-    return out
+    """Evaluate the closed-form solution at ascending sample points xs; a
+    point belongs to the first piece whose right edge it does not exceed."""
+    x0, x1, av, omega, phi0, amp, u_in, v_in = zip(*desc)
+    j = np.minimum(np.searchsorted(x1, xs, side="left"), len(desc) - 1)
+
+    def at(col):
+        return np.array(col)[j]
+
+    dx = xs - at(x0)
+    if omega[0] is None:  # lam = 0: every piece is linear in x
+        return at(u_in) + phi_p_inv(p, at(v_in) / at(av)) * dx
+    return at(amp) * _sin_array(kernel, at(phi0) + at(omega) * dx)
 
 
 # -- eigenvalue location ----------------------------------------------
-
-# Float failures a shot can raise; they become NonconvergenceError.
-_NUMERIC_FAILURES = (OverflowError, ZeroDivisionError, FloatingPointError)
 
 
 def _bracket_eigenvalue(prob, k, tol, steps_per_unit, max_iter, bracket):
@@ -389,17 +385,8 @@ def _bracket_eigenvalue(prob, k, tol, steps_per_unit, max_iter, bracket):
         kernel = _kernel_for(p)
 
         def shoot(lam):
-            u, v = 0.0, 1.0
-            total = 0
-            try:
-                for i, (x0, x1, av, rv) in enumerate(pieces):
-                    u, v, nz, _ = _advance(kernel, p, pc, av, rv, lam, u, v, x1 - x0)
-                    total += nz
-            except _NUMERIC_FAILURES as exc:
-                raise NonconvergenceError(
-                    f"closed-form shot at lam={lam!r} failed on piece {i} "
-                    f"[{x0!r}, {x1!r}]: {type(exc).__name__}: {exc}") from exc
-            return u, total
+            u, _, nz = _propagate(pieces, kernel, p, pc, lam, 0.0, 1.0)
+            return u, nz
     else:
         def shoot(lam):
             t = integrate_ivp(prob, lam, 0.0, 1.0, steps_per_unit=steps_per_unit)
@@ -415,8 +402,12 @@ def _bracket_eigenvalue(prob, k, tol, steps_per_unit, max_iter, bracket):
         function g = (-1)^(k-1) u(L; lam), NaN where it does not apply."""
         u_end, nz = shoot(lam)
         g = u_end * expected_sign
+        if nz == k:
+            # After k interior zeros g <= 0; a g > 0 is u(L) rounded across
+            # the k-th zero, and kept as g(hi) it would stop the endgame.
+            return False, min(g, 0.0)
         if nz != k - 1:
-            return nz < k - 1, (g if nz == k else math.nan)
+            return nz < k - 1, math.nan
         return g > 0.0, g
 
     small, g_lo = classify(lo)

@@ -1,4 +1,4 @@
-"""Variational cross-checks: finite-element Rayleigh quotient descent,
+"""Variational cross-checks: finite-element Rayleigh quotient minimization,
 nodal-domain equalization, and a-priori eigenvalue/nodal bounds.
 
 On a mesh 0 = x_0 < ... < x_n = L with elementwise-midpoint coefficient
@@ -16,16 +16,20 @@ its nodal characterization: the splitting point c where the first
 eigenvalue of (0, c) equals that of (c, L) yields lambda_2 as the common
 value, found by bisection on the difference of the two monotone curves.
 
-Descent uses the analytic elementwise gradient
+The numerator N and denominator D have the analytic elementwise gradients
 
     dN/dU_j = p [a_{j-1} phi_p(dU_{j-1}) - a_j phi_p(dU_j)]
     dD/dU_j = (p/2) [rho_{j-1} phi_p(m_{j-1}) h_{j-1} + rho_j phi_p(m_j) h_j]
 
-preconditioned by one tridiagonal solve with the linearized stiffness
-matrix (weights p(p-1) a_e |dU_e|^(p-2) / h_e); plain steepest descent on
-fine meshes stalls because the stiffness spectrum grows like h^-2.  A
-backtracking line search enforces sufficient decrease, so the quotient
-never increases along the iteration.
+The minimization is the inverse power method of Biezuner, Ercole and
+Martins (J. Funct. Anal. 257 (2009)): U is replaced by the normalized
+solution W of grad N(W) = grad D(U).  In 1D that equation is solved
+exactly, because the element fluxes p a_e phi_p(dW_e) telescope; what is
+left is one scalar root for the boundary condition at x = L.  By
+p-homogeneity and Hoelder's inequality R(W) <= R(U), so the quotient
+never increases along the iteration.  Convergence is tested on the
+quotient gradient, with a dual norm from one tridiagonal solve with the
+linearized stiffness matrix (weights p(p-1) a_e |dU_e|^(p-2) / h_e).
 """
 
 from __future__ import annotations
@@ -34,16 +38,20 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.optimize import brentq
 
 from .errors import BracketError, NonconvergenceError
 from .problem import Problem
-from .ptrig import pi_p, sin_p
+from .ptrig import _kernel_for, _sin_array, pi_p
+from .ptrig import sin_p  # noqa: F401  (perfbench/tracing.py wraps variational.sin_p)
 from .shooting import solve_eigenvalue
 
 __all__ = [
     "Mesh", "make_mesh", "rayleigh_quotient", "quotient_and_gradient",
     "minimize_lambda1", "lambda2_equalize", "check_weyl", "check_nodal_measure",
 ]
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +78,7 @@ def make_mesh(prob: Problem, n: int) -> Mesh:
     nodes[0], nodes[-1] = 0.0, L
     mids = 0.5 * (nodes[1:] + nodes[:-1])
     return Mesh(nodes=nodes, h=np.diff(nodes),
-                a_mid=np.array([prob.a(x) for x in mids]),
-                rho_mid=np.array([prob.rho(x) for x in mids]))
+                a_mid=prob.a._at(mids), rho_mid=prob.rho._at(mids))
 
 
 def _check_admissible(mesh: Mesh, U: np.ndarray) -> np.ndarray:
@@ -105,29 +112,34 @@ def quotient_and_gradient(mesh: Mesh, p, U) -> tuple:
     """The quotient and its analytic gradient with respect to the nodal
     values (boundary entries of the gradient are zero)."""
     pv = p.p if hasattr(p, "p") else float(p)
-    U = _check_admissible(mesh, U)
+    val, grad, _ = _quotient_terms(mesh, pv, _check_admissible(mesh, U))
+    return val, grad
+
+
+def _quotient_terms(mesh: Mesh, p: float, U: np.ndarray) -> tuple:
+    """(R(U), the gradient of R, the gradient of the denominator D)."""
     d = np.diff(U) / mesh.h
     m = 0.5 * (U[1:] + U[:-1])
-    phid = np.sign(d) * np.abs(d) ** (pv - 1.0)
-    phim = np.sign(m) * np.abs(m) ** (pv - 1.0)
-    num = float(np.sum(mesh.a_mid * np.abs(d) ** pv * mesh.h))
-    den = float(np.sum(mesh.rho_mid * np.abs(m) ** pv * mesh.h))
+    phid = np.sign(d) * np.abs(d) ** (p - 1.0)
+    phim = np.sign(m) * np.abs(m) ** (p - 1.0)
+    num = float(np.sum(mesh.a_mid * np.abs(d) ** p * mesh.h))
+    den = float(np.sum(mesh.rho_mid * np.abs(m) ** p * mesh.h))
     if den == 0.0:
         raise ValueError("denominator vanishes; U is degenerate")
     val = num / den
 
     gnum = np.zeros_like(U)
-    t = pv * mesh.a_mid * phid
+    t = p * mesh.a_mid * phid
     gnum[1:] += t
     gnum[:-1] -= t
     gden = np.zeros_like(U)
-    t2 = 0.5 * pv * mesh.rho_mid * phim * mesh.h
+    t2 = 0.5 * p * mesh.rho_mid * phim * mesh.h
     gden[1:] += t2
     gden[:-1] += t2
     grad = (gnum - val * gden) / den
     grad[0] = 0.0
     grad[-1] = 0.0
-    return val, grad
+    return val, grad, gden
 
 
 def _normalized(mesh: Mesh, p: float, U: np.ndarray) -> np.ndarray:
@@ -158,22 +170,67 @@ def _precondition(mesh: Mesh, p: float, U: np.ndarray, g: np.ndarray) -> np.ndar
     return out
 
 
+def _inverse_step(mesh: Mesh, p: float, gden: np.ndarray) -> np.ndarray:
+    """A positive multiple of the W with W = 0 at both ends that solves
+    grad N(W) = gden at the interior nodes.
+
+    The element fluxes t_e = p a_e phi_p(dW_e) telescope to t_0 - F_e,
+    with F the running sum of gden over the interior nodes, so
+    dW_e = phi_p^{-1}((t_0 - F_e) / (p a_e)), and t_0 is the root of
+    sum_e h_e dW_e = 0, which lies in [min F, max F].  F is divided by
+    max F - min F and p a_e by p min(a); that scales W by a positive
+    constant and keeps every power argument in [-1, 1], so nothing
+    overflows even at the exponent 1/(p-1) = 20 of p = 1.05.
+    """
+    F = np.concatenate([[0.0], np.cumsum(gden[1:-1])])
+    F /= np.max(F) - np.min(F)
+    r = np.min(mesh.a_mid) / mesh.a_mid
+    e = 1.0 / (p - 1.0)
+
+    def slopes(s):
+        t = (s - F) * r
+        return np.sign(t) * np.abs(t) ** e
+
+    lo, hi = float(np.min(F)), float(np.max(F))
+    s = brentq(lambda s: float(np.dot(mesh.h, slopes(s))), lo, hi,
+               xtol=_EPS * max(abs(lo), abs(hi)), rtol=4.0 * _EPS)
+    dW = slopes(s)
+    # For p > 2 the sum is vertical where s crosses an F_e: one float step
+    # of s there moves it by about h_e (ulp(F_e) r_e)^(1/(p-1)), so the
+    # root can leave a remainder far above rounding.  One element takes
+    # the remainder: the one whose scaled flux it moves least.
+    rest = float(np.dot(mesh.h, dW))
+    moved = dW + rest / mesh.h
+    with np.errstate(over="ignore"):    # an overflowing candidate is never taken
+        shift = np.abs(np.sign(moved) * np.abs(moved) ** (p - 1.0) - (s - F) * r) / r
+    j = int(np.argmin(shift))
+    dW[j] -= rest / mesh.h[j]
+    W = np.concatenate([[0.0], np.cumsum(mesh.h * dW)])
+    W[-1] = 0.0
+    return W
+
+
 def minimize_lambda1(prob: Problem, n: int, tol: float = 1e-8,
                      max_iter: int = 2000, return_history: bool = False):
     """Minimize the discrete Rayleigh quotient from the sin_p first-mode
-    initializer.  Returns (lambda1, U) or (lambda1, U, history).
+    initializer by inverse iteration.  Returns (lambda1, U) or
+    (lambda1, U, history).
 
-    The gradient-norm stopping rule tests two norms of the quotient
+    Each step replaces U, normalized to D(U) = 1, by the normalized W
+    with grad N(W) = grad D(U) (N and D the quotient's numerator and
+    denominator); in 1D that W is exact, from one running sum and one
+    scalar root.  Since N and D are p-homogeneous and convex, Hoelder's
+    inequality gives R(W) <= R(U); at p = 2 this is the classical inverse
+    power method.  The stopping rule tests two norms of the quotient
     gradient g against tol * (1 + lambda1): the Euclidean max-norm, and
     the preconditioned dual norm through its predicted remaining
     decrease g.K^{-1}g / 2 (K the linearized stiffness).  The second
-    test matters for p < 2, where the quotient's curvature blows up
-    like |u'|^{p-2} at interior critical points of u and componentwise
-    stationarity is unreachable at realistic budgets even though the
-    value has long converged; for such exponents prefer tol around
-    1e-5, which certifies the value to that relative accuracy.  Raises
-    NonconvergenceError if the iteration budget is exhausted or no
-    descent step can be found.
+    test matters for p < 2, where the quotient's curvature blows up like
+    |u'|^(p-2) at interior critical points of u and componentwise
+    stationarity can be out of reach although the value has converged.
+    Raises NonconvergenceError if the iteration budget is exhausted or a
+    step fails to lower the quotient, which happens once the gradient is
+    at rounding level.
     """
     if not n >= 16:
         raise ValueError(f"mesh must have at least 16 elements, got {n!r}")
@@ -181,46 +238,29 @@ def minimize_lambda1(prob: Problem, n: int, tol: float = 1e-8,
         raise ValueError(f"tol must be positive, got {tol!r}")
     p = prob.p.p
     mesh = make_mesh(prob, n)
-    L = prob.length
-    pip = pi_p(prob.p)
-    U = np.array([sin_p(prob.p, pip * x / L) for x in mesh.nodes])
+    U = _sin_array(_kernel_for(p), pi_p(prob.p) * mesh.nodes / prob.length)
     U[0] = 0.0
     U[-1] = 0.0
     U = _normalized(mesh, p, U)
 
-    val, g = quotient_and_gradient(mesh, prob.p, U)
+    val, g, gden = _quotient_terms(mesh, p, U)
     history = [val]
     converged = False
     for _ in range(max_iter):
         gnorm = float(np.max(np.abs(g)))
-        pg = _precondition(mesh, p, U, g)
-        decrement = float(np.dot(g, pg))
+        decrement = float(np.dot(g, _precondition(mesh, p, U, g)))
         thresh = tol * (1.0 + abs(val))
         if gnorm <= thresh or 0.0 < 0.5 * decrement <= thresh:
             converged = True
             break
-        stepped = False
-        for direction in (pg, g):
-            slope = float(np.dot(g, direction))
-            if slope <= 0.0:
-                continue
-            t = 1.0
-            while t > 1e-16:
-                cand = U - t * direction
-                numc, denc = _num_den(mesh, p, cand)
-                if denc > 0.0 and numc / denc <= val - 1e-4 * t * slope:
-                    U = _normalized(mesh, p, cand)
-                    val, g = quotient_and_gradient(mesh, prob.p, U)
-                    history.append(val)
-                    stepped = True
-                    break
-                t *= 0.5
-            if stepped:
-                break
-        if not stepped:
+        W = _normalized(mesh, p, _inverse_step(mesh, p, gden))
+        val_w, g_w, gden_w = _quotient_terms(mesh, p, W)
+        if not val_w <= val:
             raise NonconvergenceError(
                 "no descent step found; the quotient gradient may be at "
                 "rounding level, try a looser tol")
+        U, val, g, gden = W, val_w, g_w, gden_w
+        history.append(val)
     if not converged:
         raise NonconvergenceError(
             f"quotient descent did not converge in {max_iter} iterations"

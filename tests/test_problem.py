@@ -184,6 +184,20 @@ def test_eval_coeff_piecewise_linear():
     assert c(2.0) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("kind", ["constant", "linear", "periodic-constant", "periodic-linear"])
+def test_array_evaluation_matches_pointwise_calls(kind):
+    pc = Coefficient.piecewise_constant([0.0, 0.3, 0.5, 1.0], [1.0, 4.0, 0.5])
+    pl = Coefficient.piecewise_linear([0.0, 0.5, 1.0], [1.0, 3.0, 1.0])
+    c = {"constant": pc, "linear": pl,
+         "periodic-constant": Coefficient.periodic(pc, 0.1),
+         "periodic-linear": Coefficient.periodic(pl, 0.25)}[kind]
+    rng = np.random.default_rng(12)
+    # breakpoints, both ends and cell seams included
+    xs = np.concatenate([np.linspace(0.0, 1.0, 401), [0.3, 0.5, 0.05, 0.125, 0.7],
+                         rng.uniform(0.0, 1.0, 500)])
+    assert np.array_equal(c._at(xs), np.array([c(x) for x in xs]))
+
+
 def test_coefficient_bounds():
     c = two_phase()
     assert c.lower() == 1.0

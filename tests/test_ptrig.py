@@ -14,7 +14,7 @@ import pytest
 from scipy.special import betainc
 
 from plapeig import Exponent, asin_p, dsin_p, pi_p, sin_p
-from plapeig.ptrig import _asin_core, _kernel_for, _sin_core
+from plapeig.ptrig import _asin_core, _kernel_for, _reduce, _sin_array, _sin_core
 
 P_GRID = [1.2, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0]
 
@@ -246,3 +246,35 @@ def test_ode_residual_by_central_differences(p):
         x = float(x)
         lhs = -(phi(dsin_p(p, x + h)) - phi(dsin_p(p, x - h))) / (2.0 * h)
         assert lhs == pytest.approx(phi(sin_p(p, x)), abs=1e-6)
+
+
+# -- the array path -------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", P_GRID)
+def test_sin_array_matches_scalar_sin_p(p):
+    # Same branches, tables and Horner sums as sin_p; only numpy's pow may
+    # round z^p one ulp away from the C library's.  That ulp reaches sin_p
+    # as up to sin_p'(z) z / p ulps (about 4 at p = 1.2), and the Horner
+    # sum, started from a different t, may round differently by an ulp.
+    k = _kernel_for(p)
+    quarter = np.concatenate([
+        np.linspace(0.0, k.pi_half, 2001),
+        k.z_cut + np.linspace(-1e-6, 1e-6, 21),
+        [np.nextafter(k.z_cut, 0.0), np.nextafter(k.pi_half, 0.0)],
+        k.pi_half - np.logspace(-15.0, -1.0, 57)])
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([
+        quarter, k.pi - quarter, k.pi + quarter, 2.0 * k.pi - quarter,  # each _reduce branch
+        -quarter, -(k.pi + quarter),
+        np.arange(-8, 9) * k.pi, np.arange(-8, 9) * k.pi_half,
+        rng.uniform(-20.0 * k.pi, 20.0 * k.pi, 2000)])
+    got = _sin_array(k, xs)
+    ref = np.array([sin_p(p, x) for x in xs])
+    z = np.array([_reduce(k, x)[0] for x in xs])
+    slope = np.abs([dsin_p(p, x) for x in xs])
+    eps = np.finfo(float).eps
+    tol = 3.0 * np.spacing(np.abs(ref)) + 2.0 * eps * slope * z / p
+    assert np.all(np.abs(got - ref) <= tol)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert np.array_equal(got == 0.0, ref == 0.0)

@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from plapeig import (BracketError, Coefficient, NonconvergenceError, Problem,
                      Trajectory, count_interior_zeros, dsin_p, integrate_ivp,
                      interior_zero_locations, phi_p, phi_p_inv, pi_p,
                      propagate_piecewise_constant, sin_p, solve_eigenpair,
                      solve_eigenvalue, weyl_bracket)
+
+from plapeig.ptrig import _kernel_for, _reduce, _sin_core
+from plapeig.shooting import _pc_sample, _pc_zero_positions
 
 from exact_p2 import transfer_matrix_eigenvalue_p2
 
@@ -199,6 +204,37 @@ def test_zero_count_handles_exact_nodes():
     t = Trajectory(grid=grid, u=u, v=np.cos(2.0 * math.pi * grid),
                    hamiltonian_drift=0.0)
     assert count_interior_zeros(t) == 1
+
+
+def zero_count_loop(u):
+    # The per-node loop count_interior_zeros replaced.
+    n = len(u)
+    count = 0
+    last = math.copysign(1.0, u[0]) if u[0] != 0.0 else 0.0
+    for i in range(1, n):
+        if u[i] == 0.0:
+            if i < n - 1:
+                count += 1
+            last = 0.0
+            continue
+        s = math.copysign(1.0, u[i])
+        if last != 0.0 and s != last:
+            count += 1
+        last = s
+    return count
+
+
+# Signed zeros, tiny and ordinary values, drawn often enough that runs of
+# zeros and sign changes across them are common.
+_ZERO_COUNT_VALUES = st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 2.5, -3.0,
+                                      5e-324, -5e-324, 1e-300, -1e-300])
+
+
+@given(st.lists(_ZERO_COUNT_VALUES | st.floats(allow_nan=False), min_size=1, max_size=40))
+def test_zero_count_matches_the_node_loop(values):
+    u = np.array(values)
+    t = Trajectory(grid=np.arange(len(u), dtype=float), u=u, v=u, hamiltonian_drift=0.0)
+    assert count_interior_zeros(t) == zero_count_loop(u)
 
 
 # -- weyl_bracket -------------------------------------------------------
@@ -415,3 +451,60 @@ def test_solve_rejects_bad_arguments():
         solve_eigenvalue(prob, 0)
     with pytest.raises(ValueError):
         solve_eigenvalue(prob, 1, -1e-9)
+
+
+def test_bracket_counts_a_zero_at_the_end_as_boundary():
+    # The first interior point of this bracket is lam_3 to 3e-10, and its
+    # closed-form shot ends on u(L) = 0.0 exactly.  Counted as interior,
+    # that zero gave the shot k - 1 = 3 zeros and g = 0, so lam_3 was
+    # taken as the upper end and returned for k = 4.
+    prob = two_phase_problem(p=2.0)
+    lam4 = solve_eigenvalue(prob, 4)
+    assert solve_eigenvalue(prob, 4, bracket=(15.827340834859513, 300.0)) == \
+        pytest.approx(lam4, rel=1e-9)
+    assert lam4 == pytest.approx(294.7203, rel=1e-6)
+
+
+def test_endgame_survives_a_zero_rounding_past_the_end():
+    # The first interior point is lam_5 rounded up; its shot counts the
+    # fifth zero as interior, yet u(L) = +2.8e-17 keeps the sign from
+    # before it.  Kept as the upper end's g > 0, that stopped the regula
+    # falsi for the rest of the solve.
+    prob = constant_problem()
+    lam5 = 25.0 * math.pi ** 2
+    lam = solve_eigenvalue(prob, 5, bracket=(100.0, 2.0 * 246.740110027234 - 100.0),
+                           max_iter=10)
+    assert lam == pytest.approx(lam5, rel=1e-9)
+
+
+def pc_sample_loop(desc, kernel, p, xs):
+    # The per-point loop _pc_sample replaced.
+    out = np.empty(len(xs))
+    j = 0
+    for idx, x in enumerate(xs):
+        while j + 1 < len(desc) and x > desc[j][1]:
+            j += 1
+        x0, x1, av, omega, phi0, amp, u_in, v_in = desc[j]
+        if omega is None:
+            out[idx] = u_in + phi_p_inv(p, v_in / av) * (x - x0)
+        else:
+            z, sgn, _ = _reduce(kernel, phi0 + omega * (x - x0))
+            out[idx] = amp * sgn * _sin_core(kernel, z)[0]
+    return out
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("case", ["two-phase", "contrast", "lam=0"])
+def test_pc_sample_matches_the_point_loop(p, case):
+    prob = contrast_problem(p) if case == "contrast" else two_phase_problem(p=p, rho=2.0)
+    lam = 0.0 if case == "lam=0" else solve_eigenvalue(prob, 3)
+    kernel = _kernel_for(p)
+    pieces = prob.pieces()
+    _, desc = _pc_zero_positions(pieces, kernel, p, prob.p.p_conj, lam, 0.0, 1.0, 1.0)
+    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 1025), prob.breakpoints()]))
+    got = _pc_sample(desc, kernel, p, grid)
+    ref = pc_sample_loop(desc, kernel, p, grid)
+    # Only the powers inside sin_p may round differently (see test_ptrig).
+    np.testing.assert_allclose(got, ref, rtol=0.0,
+                               atol=8.0 * np.finfo(float).eps * np.max(np.abs(ref)))
+    assert np.array_equal(np.sign(got), np.sign(ref))

@@ -1,6 +1,7 @@
 """Rayleigh-quotient discretization and the variational cross-checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from plapeig import (BracketError, Coefficient, Eigenpair, NonconvergenceError,
                      Problem, check_nodal_measure, check_weyl, lambda2_equalize,
                      make_mesh, minimize_lambda1, pi_p, quotient_and_gradient,
                      rayleigh_quotient, sin_p, solve_eigenpair, solve_eigenvalue)
+from plapeig.variational import (_inverse_step, _normalized, _precondition,
+                                 _quotient_terms)
 
 
 def constant_problem(p=2.0, a=1.0, rho=1.0):
@@ -151,6 +154,104 @@ def test_minimize_budget_exhaustion_raises():
 def test_minimize_rejects_tiny_mesh():
     with pytest.raises(ValueError):
         minimize_lambda1(constant_problem(), 8, 1e-8)
+
+
+def seeded_two_phase(seed, p):
+    # Random two-phase data as drawn by the benchmark's spectrum workload.
+    rng = np.random.default_rng(seed)
+    c = float(rng.uniform(0.3, 0.7))
+    a, rho = rng.uniform(0.5, 3.0, 2), rng.uniform(0.5, 3.0, 2)
+    return Problem(1.0, p, Coefficient.piecewise_constant([0.0, c, 1.0], a),
+                   Coefficient.piecewise_constant([0.0, c, 1.0], rho))
+
+
+def contrast_problem(p, pieces=50):
+    edges = [i / pieces for i in range(pieces + 1)]
+    a = [1.0 if i % 2 == 0 else 1e6 for i in range(pieces)]
+    return Problem(1.0, p, Coefficient.piecewise_constant(edges, a), Coefficient.constant(1.0))
+
+
+def phi(p, s):
+    return np.sign(s) * np.abs(s) ** (p - 1.0)
+
+
+def numerator_gradient(mesh, p, W):
+    t = p * mesh.a_mid * phi(p, np.diff(W) / mesh.h)
+    g = np.zeros_like(W)
+    g[1:] += t
+    g[:-1] -= t
+    return g
+
+
+@pytest.mark.parametrize("kind, p", [("two-phase", 1.5), ("two-phase", 2.0),
+                                     ("two-phase", 3.0), ("two-phase", 20.0),
+                                     ("contrast", 20.0)])
+def test_inverse_step_solves_the_flux_equation(kind, p):
+    # W is returned up to a positive factor c; grad N(c W) = c^(p-1) grad N(W)
+    # must equal grad D(U) at every interior node, to rounding.  (On the
+    # contrast problem at p <= 3 the slopes on the stiff pieces fall below
+    # the rounding of the nodal values, which hides the step's accuracy.)
+    prob = seeded_two_phase(3, p) if kind == "two-phase" else contrast_problem(p)
+    mesh = make_mesh(prob, 200)
+    U = _normalized(mesh, p, first_mode(prob, mesh))
+    for _ in range(4):
+        _, _, gden = _quotient_terms(mesh, p, U)
+        W = _inverse_step(mesh, p, gden)
+        assert W[0] == 0.0 and W[-1] == 0.0
+        gnum = numerator_gradient(mesh, p, W)
+        scale = np.dot(gden[1:-1], W[1:-1]) / np.dot(gnum[1:-1], W[1:-1])
+        assert scale > 0.0
+        residual = scale * gnum[1:-1] - gden[1:-1]
+        assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(gden))
+        U = _normalized(mesh, p, W)
+
+
+def test_inverse_step_at_p2_is_the_unit_preconditioned_step():
+    # At p = 2 the linearized stiffness K is exact, and with D(U) = 1 the
+    # step U - K^{-1} grad R(U) is R(U) K^{-1} grad D(U).
+    prob = seeded_two_phase(1, 2.0)
+    mesh = make_mesh(prob, 300)
+    U = _normalized(mesh, 2.0, first_mode(prob, mesh))
+    _, g, gden = _quotient_terms(mesh, 2.0, U)
+    W = _normalized(mesh, 2.0, _inverse_step(mesh, 2.0, gden))
+    ref = _normalized(mesh, 2.0, U - _precondition(mesh, 2.0, U, g))
+    np.testing.assert_allclose(W, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("p, tol", [(1.5, 1e-5), (3.0, 1e-8)])
+def test_minimize_needs_few_iterations_on_seeded_two_phase_problems(p, tol):
+    for seed in range(20):
+        prob = seeded_two_phase(seed, p)
+        val, _, history = minimize_lambda1(prob, 2000, tol, return_history=True)
+        assert len(history) - 1 <= 10
+        ref = solve_eigenvalue(prob, 1, 1e-12)
+        assert ref * (1.0 - 1e-12) <= val <= ref * (1.0 + 1e-4)
+
+
+def test_minimize_p15_reaches_tight_tolerance():
+    prob = seeded_two_phase(10, 1.5)
+    val, _, history = minimize_lambda1(prob, 2000, 1e-8, return_history=True)
+    assert len(history) - 1 <= 20
+    coarse = minimize_lambda1(prob, 2000, 1e-5)[0]
+    assert val <= coarse and (coarse - val) / val <= 1e-4
+
+
+def test_minimize_high_contrast_p20_matches_shooting():
+    prob = contrast_problem(20.0)
+    val, _ = minimize_lambda1(prob, 2000, 1e-8)
+    ref = solve_eigenvalue(prob, 1)
+    assert ref * (1.0 - 1e-9) <= val <= ref * (1.0 + 1e-4)
+
+
+@pytest.mark.parametrize("prob", [two_phase_problem(p=1.05), contrast_problem(1.1)],
+                         ids=["two-phase-p1.05", "contrast-p1.1"])
+def test_minimize_unreachable_tolerance_raises_cleanly(prob):
+    # The gradient tests cannot certify tol = 1e-8 here; the solver must
+    # say so, and no float operation may overflow on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonconvergenceError):
+            minimize_lambda1(prob, 2000, 1e-8)
 
 
 # -- lambda2 equalization ------------------------------------------------
