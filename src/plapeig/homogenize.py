@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import SweepError
 from .problem import Coefficient, Eigenpair, Problem
@@ -37,8 +36,6 @@ __all__ = [
     "SweepResult", "effective_coefficient", "effective_weight",
     "homogenized_eigenvalue", "epsilon_sweep", "convergence_report",
 ]
-
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 
 
 def _unit_cell(cell: Coefficient, name: str) -> Coefficient:
@@ -55,22 +52,22 @@ def _unit_cell(cell: Coefficient, name: str) -> Coefficient:
 
 
 def effective_coefficient(cell: Coefficient, p) -> float:
-    """The homogenized coefficient of a unit cell.
-
-    Exact for piecewise-constant cells; adaptive quadrature otherwise.
-    """
+    """The homogenized coefficient of a unit cell, exact for both kinds:
+    with q = 1/(p-1), a piece of width w on which a runs linearly from v0
+    to v1 (v0 = v1 if constant) has int a^(-q) = w v^(-q) expm1((1-q) l) /
+    ((1-q) d), where v = min(v0, v1), d = max(v0, v1)/v - 1, l = log1p(d),
+    and the quotient is l/d at q = 1 and 1 at d = 0."""
     pv = _as_p(p)
-    cell = _unit_cell(cell, "cell")
     q = 1.0 / (pv - 1.0)
-    m = cell.materialized(0.0, 1.0)
-    if m.kind == "piecewise-constant":
-        widths = np.diff(m.breakpoints)
-        mean = float(np.sum(widths * np.asarray(m.values) ** (-q)))
-    else:
-        pts = [b for b in m.breakpoints if 0.0 < b < 1.0]
-        mean, _ = quad(lambda y: m(y) ** (-q), 0.0, 1.0,
-                       points=pts or None, **_QUAD_OPTS)
-    return mean ** (-(pv - 1.0))
+    m = _unit_cell(cell, "cell").materialized(0.0, 1.0)
+    vals = np.asarray(m.values)
+    ends = (vals, vals) if m.kind == "piecewise-constant" else (vals[:-1], vals[1:])
+    v = np.minimum(*ends)
+    d = np.maximum(*ends) / v - 1.0
+    l = np.log1p(d)
+    ratio = np.expm1((1.0 - q) * l) / (1.0 - q) if q != 1.0 else l
+    factor = np.divide(ratio, d, out=np.ones_like(d), where=d != 0.0)
+    return float(np.sum(np.diff(m.breakpoints) * v ** (-q) * factor)) ** (-(pv - 1.0))
 
 
 def effective_weight(cell: Coefficient) -> float:
@@ -136,6 +133,13 @@ def epsilon_sweep(prob_cell: Problem, k: int, n_list,
 
     eps_list, lams = [], []
     finest = None
+
+    def result():
+        return SweepResult(
+            k=k, n_cells=tuple(ns[:len(lams)]), epsilons=tuple(eps_list),
+            lambdas=tuple(lams), lambda_star=lam_star,
+            rel_errors=tuple(abs(l - lam_star) / lam_star for l in lams), finest=finest)
+
     for idx, n in enumerate(ns):
         eps = L / n
         osc = Problem(L, prob_cell.p,
@@ -149,19 +153,10 @@ def epsilon_sweep(prob_cell: Problem, k: int, n_list,
             else:
                 lam = solve_eigenvalue(osc, k, tol)
         except Exception as exc:
-            partial = SweepResult(
-                k=k, n_cells=tuple(ns[:len(lams)]), epsilons=tuple(eps_list),
-                lambdas=tuple(lams), lambda_star=lam_star,
-                rel_errors=tuple(abs(l - lam_star) / lam_star for l in lams),
-                finest=None)
-            raise SweepError(f"sweep failed at n={n} cells: {exc}", partial) from exc
+            raise SweepError(f"sweep failed at n={n} cells: {exc}", result()) from exc
         eps_list.append(eps)
         lams.append(lam)
-    return SweepResult(
-        k=k, n_cells=tuple(ns), epsilons=tuple(eps_list), lambdas=tuple(lams),
-        lambda_star=lam_star,
-        rel_errors=tuple(abs(l - lam_star) / lam_star for l in lams),
-        finest=finest)
+    return result()
 
 
 def convergence_report(sweep: SweepResult, noise_floor: float = 1e-7) -> dict:

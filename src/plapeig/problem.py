@@ -218,15 +218,9 @@ class Coefficient:
             return [b for b in self.breakpoints if x0 < b < x1]
         eps = self.period
         cell_pts = [0.0] + [b for b in self.cell.breakpoints if 0.0 < b < 1.0]
-        out = []
-        m = math.floor(x0 / eps)
-        while m * eps < x1:
-            for b in cell_pts:
-                x = (m + b) * eps
-                if x0 < x < x1:
-                    out.append(x)
-            m += 1
-        return sorted(out)
+        m = np.arange(math.floor(x0 / eps), math.ceil(x1 / eps) + 1)
+        x = ((m[:, None] + np.array(cell_pts)) * eps).ravel()
+        return sorted(x[(x0 < x) & (x < x1)].tolist())
 
     def materialized(self, x0: float, x1: float) -> "Coefficient":
         """An equivalent plain coefficient spanning exactly [x0, x1].
@@ -296,13 +290,13 @@ class Problem:
     def pieces(self):
         """Constant pieces (x0, x1, a, rho) if both coefficients are
         piecewise constant over [0, length], else None."""
-        am = self.a.materialized(0.0, self.length)
-        rm = self.rho.materialized(0.0, self.length)
-        if am.kind != PIECEWISE_CONSTANT or rm.kind != PIECEWISE_CONSTANT:
-            return None
+        for c in (self.a, self.rho):
+            if (c.cell if c.kind == PERIODIC_CELL else c).kind != PIECEWISE_CONSTANT:
+                return None
         edges = [0.0] + self.breakpoints() + [self.length]
-        return [(lo, hi, am(0.5 * (lo + hi)), rm(0.5 * (lo + hi)))
-                for lo, hi in zip(edges, edges[1:])]
+        mids = 0.5 * (np.array(edges[:-1]) + np.array(edges[1:]))
+        return list(zip(edges, edges[1:], self.a._at(mids).tolist(),
+                        self.rho._at(mids).tolist()))
 
     def restricted(self, x0: float, x1: float) -> "Problem":
         """The same problem posed on the subinterval (x0, x1), shifted to 0."""

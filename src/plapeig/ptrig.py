@@ -25,10 +25,10 @@ At p = 2 everything reduces to the classical sine and pi_2 = pi.
 
 Numerics
 --------
-The defining integrand has an algebraic singularity ~ (1-t)^(-1/p) at
-t = 1.  pi_p is evaluated by adaptive Gauss-Kronrod quadrature, near the
-singular corner after the substitution 1 - t = w^q with q = p/(p-1),
-which makes the integrand bounded.
+The substitution t^p = y turns the defining integral into a Beta
+integral, so pi_p = 2 pi (p-1)^(1/p) / (p sin(pi/p)) (Lindqvist, Ricerche
+Mat. 44 (1995)); below p = 2 the sine is evaluated at the reflected
+angle pi (p-1)/p, which keeps pi_p accurate to rounding as p -> 1.
 
 sin_p and asin_p are evaluated from per-exponent tables of piecewise
 Chebyshev fits, converted to power form and summed by Horner's rule.
@@ -54,7 +54,7 @@ The private evaluators carry the complement x = 1 - |s| next to s, so
 1 - |s|^p and the phase near a maximum of |sin_p| keep their relative
 accuracy where s itself rounds to 1; the shooting solver depends on
 this.  The tables of an exponent are built on the first sin_p or asin_p
-call at that exponent (about 20 ms; pi_p builds none) and kept for the
+call at that exponent (about 10-20 ms; pi_p builds none) and kept for the
 life of the process.  Both functions then cost a few microseconds per
 call and agree with the incomplete Beta function to a few units in the
 last place.
@@ -75,12 +75,8 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dct
-from scipy.integrate import quad
 
 __all__ = ["Exponent", "pi_p", "asin_p", "sin_p", "dsin_p"]
-
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 
 # Table layout: uniform bulk segments in s^p (asin_p) and z^p (sin_p),
 # and one Chebyshev segment for each desingularized tail.
@@ -117,32 +113,6 @@ def _as_p(p) -> float:
     if isinstance(p, Exponent):
         return p.p
     return Exponent(p).p
-
-
-# -- pi_p by adaptive quadrature ------------------------------------------
-
-
-def _integrand(t: float, p: float) -> float:
-    # 1 - t**p without cancellation for t near 1.
-    om = 1.0 - t ** p if t < 0.7 else -math.expm1(p * math.log(t))
-    return ((p - 1.0) / om) ** (1.0 / p)
-
-
-def _tail_integrand(w: float, p: float, pc: float) -> float:
-    # Integrand of int_s^1 after 1 - t = w^pc; bounded on [0, (1-s)^(1/pc)].
-    x = w ** pc
-    if x < 1e-280:
-        return pc * ((p - 1.0) / p) ** (1.0 / p)
-    om = -math.expm1(p * math.log1p(-x))
-    return ((p - 1.0) / om) ** (1.0 / p) * pc * w ** (pc - 1.0)
-
-
-def _quarter_period(p: float) -> float:
-    # asin_p(1): quadrature on [0, 1/2] plus the desingularized [1/2, 1].
-    pc = p / (p - 1.0)
-    head, _ = quad(_integrand, 0.0, 0.5, args=(p,), **_QUAD_OPTS)
-    tail, _ = quad(_tail_integrand, 0.0, 0.5 ** (1.0 / pc), args=(p, pc), **_QUAD_OPTS)
-    return head + tail
 
 
 # -- table construction ------------------------------------------------------
@@ -243,12 +213,15 @@ def _fit(values: np.ndarray) -> tuple:
     """Horner coefficients (highest degree first) on [-1, 1] of the
     interpolant through values at _cheb_points, one row per segment.
 
-    The DCT gives Chebyshev coefficients; an exact integer matrix then
-    maps them to the power basis.  Applying the two in turn keeps the
-    decay of the Chebyshev coefficients; one combined matrix would not.
+    A DCT-II, a product with the cosine matrix (its angles reduced below
+    2 pi exactly, in integers), gives the Chebyshev coefficients; an exact
+    integer matrix then maps them to the power basis.  Applying the two in
+    turn keeps the decay of the Chebyshev coefficients; one combined
+    matrix would not.
     """
     n = values.shape[-1]
-    cheb = dct(values, type=2, axis=-1) / n
+    m = np.outer(np.arange(n), 2 * np.arange(n) + 1) % (4 * n)
+    cheb = values @ np.cos(np.pi * m / (2 * n)).T * (2.0 / n)
     cheb[..., 0] *= 0.5
     to_power = np.eye(n)              # row k: power coefficients of T_k
     for k in range(2, n):
@@ -288,7 +261,7 @@ class _Kernel:
 
 def _build_kernel(p: float) -> _Kernel:
     pc = p / (p - 1.0)
-    pi_half = _quarter_period_for(p)
+    pi_half = 0.5 * pi_p(p)
     ref = _Reference(p, pc, pi_half)
 
     x_tail = min(_ASIN_TAIL_X, 3.0 / p)
@@ -319,28 +292,19 @@ def _build_kernel(p: float) -> _Kernel:
 
 
 _lock = threading.RLock()
-_quarters: dict[float, float] = {}
 _kernels: dict[float, _Kernel] = {}
-
-
-def _memo(table: dict, p: float, build):
-    value = table.get(p)
-    if value is None:
-        with _lock:
-            value = table.get(p)
-            if value is None:
-                value = table[p] = build(p)
-    return value
-
-
-def _quarter_period_for(p: float) -> float:
-    return _memo(_quarters, p, _quarter_period)
 
 
 def _kernel_for(p) -> _Kernel:
     """The tables at exponent p, built on first use."""
     k = _kernels.get(p) if type(p) is float else None
-    return k if k is not None else _memo(_kernels, _as_p(p), _build_kernel)
+    if k is None:
+        p = _as_p(p)
+        with _lock:
+            k = _kernels.get(p)
+            if k is None:
+                k = _kernels[p] = _build_kernel(p)
+    return k
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -438,8 +402,13 @@ def _reduce(k: _Kernel, x: float) -> tuple[float, float, float]:
 
 
 def pi_p(p) -> float:
-    """Return pi_p, the half period of sin_p, from the defining integral."""
-    return 2.0 * _quarter_period_for(_as_p(p))
+    """Return pi_p, the half period of sin_p, in closed form:
+    2 pi (p-1)^(1/p) / (p sin(pi/p)) (Lindqvist, Ricerche Mat. 44 (1995))."""
+    p = _as_p(p)
+    # Below p = 2 the sine is taken at the reflected angle pi (p-1)/p,
+    # which keeps its relative accuracy as p -> 1 (pi/p rounds next to pi).
+    angle = math.pi / p if p >= 2.0 else math.pi * ((p - 1.0) / p)
+    return 2.0 * math.pi * (p - 1.0) ** (1.0 / p) / (p * math.sin(angle))
 
 
 def asin_p(p, s: float) -> float:

@@ -50,9 +50,9 @@ cannot be formed from it.  The phase there comes from the complement
 instead: 1 - |s0| is computed from the ratio of the two energy terms
 of (u0, v0), the p-trig kernel turns it into the distance of phi0 from
 the nearest quarter period, and at the piece end the kernel returns
-1 - |s1| next to s1, from which the flux is formed.  A float overflow
-or division by zero inside a shot is reported as NonconvergenceError,
-with lam and the failing piece.
+1 - |s1| next to s1, from which the flux is formed.  Bracketing shots
+rescale a state whose amplitude leaves [1e-100, 1e100]; a float overflow
+or division by zero inside a shot is reported as NonconvergenceError.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketError, NonconvergenceError
 from .problem import Eigenpair, Problem, phi_p_inv
@@ -211,13 +210,19 @@ def _drift(prob, lam, grid, uarr, varr, p, pc) -> float:
     return worst
 
 
+def _zeros_and_changes(u: np.ndarray) -> tuple:
+    """Masks of the exact zeros at interior nodes and of the grid
+    intervals across which u changes sign between nonzero samples."""
+    nonzero = u != 0.0
+    changes = nonzero[:-1] & nonzero[1:] & (np.signbit(u[:-1]) != np.signbit(u[1:]))
+    return ~nonzero[1:-1], changes
+
+
 def count_interior_zeros(t: Trajectory) -> int:
     """Number of interior zeros of u along the trajectory (simple sign
     changes; an exact zero at an interior grid node counts once)."""
-    u = t.u
-    nonzero = u != 0.0
-    changes = nonzero[:-1] & nonzero[1:] & (np.signbit(u[:-1]) != np.signbit(u[1:]))
-    return int(np.count_nonzero(~nonzero[1:-1]) + np.count_nonzero(changes))
+    zeros, changes = _zeros_and_changes(t.u)
+    return int(np.count_nonzero(zeros) + np.count_nonzero(changes))
 
 
 def interior_zero_locations(t: Trajectory) -> np.ndarray:
@@ -227,19 +232,21 @@ def interior_zero_locations(t: Trajectory) -> np.ndarray:
     cubic Lagrange interpolant through the four surrounding samples.
     """
     grid, u = t.grid, t.u
-    n = len(u)
-    out = []
-    for i in range(1, n - 1):
-        if u[i] == 0.0:
-            out.append(float(grid[i]))
-    for i in range(n - 1):
-        if u[i] == 0.0 or u[i + 1] == 0.0 or (u[i] > 0) == (u[i + 1] > 0):
-            continue
-        lo = max(0, i - 1)
-        hi = min(n, i + 3)
-        coeffs = np.polyfit(grid[lo:hi] - grid[i], u[lo:hi], deg=hi - lo - 1)
-        f = lambda x: float(np.polyval(coeffs, x - grid[i]))
-        out.append(float(brentq(f, grid[i], grid[i + 1], xtol=1e-15 * max(1.0, grid[-1]))))
+    zeros, changes = _zeros_and_changes(u)
+    out = grid[1:-1][zeros].tolist()
+    xtol = 1e-15 * max(1.0, float(grid[-1]))
+    for i in np.flatnonzero(changes):
+        lo, hi = max(0, i - 1), min(len(u), i + 3)
+        x0 = float(grid[i])
+        # The cubic times the sign of u[i], which is positive below the zero.
+        coeffs = np.polyfit(grid[lo:hi] - x0, u[lo:hi], deg=hi - lo - 1) * np.sign(u[i])
+
+        def classify(x):
+            g = float(np.polyval(coeffs, x - x0))
+            return g > 0.0, g
+
+        out.append(0.5 * sum(_illinois(classify, x0, float(grid[i + 1]), abs(u[i]),
+                                       -abs(u[i + 1]), lambda a, b: xtol, 200)))
     return np.array(sorted(out))
 
 
@@ -248,14 +255,18 @@ def weyl_bracket(prob: Problem, k: int) -> tuple:
 
     The comparison bounds a_min/rho_max * mu_k <= lam_k <= a_max/rho_min * mu_k
     with mu_k = (pi_p k / L)^p are widened by a factor two on each side.
+    Raises BracketError when the lower end underflows to zero.
     """
     if not k >= 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
     p = prob.p.p
     mu = (pi_p(prob.p) * k / prob.length) ** p
-    lo = prob.a.lower() / prob.rho.upper() * mu
-    hi = prob.a.upper() / prob.rho.lower() * mu
-    return 0.5 * lo, 2.0 * hi
+    lo = 0.5 * (prob.a.lower() / prob.rho.upper() * mu)
+    hi = 2.0 * (prob.a.upper() / prob.rho.lower() * mu)
+    if not lo > 0.0:
+        raise BracketError(f"comparison bracket ({lo!r}, {hi!r}) of lambda_{k} underflows "
+                           f"at L = {prob.length!r}, p = {p!r}")
+    return lo, hi
 
 
 # -- closed-form propagation on constant pieces ------------------------
@@ -316,16 +327,25 @@ def propagate_piecewise_constant(prob: Problem, lam: float,
 
 # Float failures a shot can raise; they become NonconvergenceError.
 _NUMERIC_FAILURES = (OverflowError, ZeroDivisionError, FloatingPointError)
+# Amplitudes a rescaling shot keeps its state within.
+_AMP_RANGE = (1e-100, 1e100)
 
 
-def _propagate(pieces, kernel, p, pc, lam, u0, v0):
-    """(u(L), v(L), interior zero count) of one closed-form shot."""
+def _propagate(pieces, kernel, p, pc, lam, u0, v0, rescale=False):
+    """(u(L), v(L), interior zero count) of one closed-form shot.
+
+    With ``rescale`` a state whose amplitude A leaves _AMP_RANGE is taken
+    to (u/A, v/A^(p-1)), so it cannot overflow across interfaces; signs
+    and zero counts stay, and shots near an eigenvalue are left as they are.
+    """
     u, v = u0, v0
     total = 0
     try:
         for i, (x0, x1, av, rv) in enumerate(pieces):
-            u, v, nz, _ = _advance(kernel, p, pc, av, rv, lam, u, v, x1 - x0)
+            u, v, nz, osc = _advance(kernel, p, pc, av, rv, lam, u, v, x1 - x0)
             total += nz
+            if rescale and osc is not None and not _AMP_RANGE[0] < osc[2] < _AMP_RANGE[1]:
+                u, v = u / osc[2], v / osc[2] ** (p - 1.0)
     except _NUMERIC_FAILURES as exc:
         raise NonconvergenceError(
             f"closed-form shot at lam={lam!r} failed on piece {i} "
@@ -377,7 +397,46 @@ def _pc_sample(desc, kernel, p, xs):
 # -- eigenvalue location ----------------------------------------------
 
 
+def _illinois(classify, lo, hi, g_lo, g_hi, width, max_iter):
+    """Shrink a bracket [lo, hi] of a root until hi - lo <= width(lo, hi);
+    returns (lo, hi), or None after ``max_iter`` calls of ``classify(x)``,
+    which gives (x below the root, g(x) or NaN where g does not apply).
+    While g(lo) > 0 >= g(hi) the next point is Illinois regula falsi
+    (Dowell & Jarratt, BIT 11 (1971): the g of an end kept twice in a row
+    is halved) kept width/2 inside, so a point next to one end lands across
+    the root; otherwise, or when one Illinois cycle (three steps) has not
+    halved the bracket, it is the midpoint."""
+    moved_lo = None
+    widths: list = []
+    for _ in range(max_iter):
+        tol_width = width(lo, hi)
+        if hi - lo <= tol_width:
+            return lo, hi
+        if g_hi <= 0.0 < g_lo and not (len(widths) >= 3 and hi - lo > 0.5 * widths[-3]):
+            margin = 0.5 * tol_width
+            x = min(max(lo + g_lo / (g_lo - g_hi) * (hi - lo), lo + margin), hi - margin)
+            widths.append(hi - lo)
+        else:
+            x = 0.5 * (lo + hi)
+            widths.clear()
+        below, g = classify(x)
+        if below:
+            if moved_lo is True:
+                g_hi *= 0.5
+            lo, g_lo = x, g
+        else:
+            if moved_lo is False:
+                g_lo *= 0.5
+            hi, g_hi = x, g
+        moved_lo = below
+    return None
+
+
 def _bracket_eigenvalue(prob, k, tol, steps_per_unit, max_iter, bracket):
+    if not (isinstance(k, int) and k >= 1):
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     p = prob.p.p
     pc = prob.p.p_conj
     pieces = prob.pieces()
@@ -385,7 +444,7 @@ def _bracket_eigenvalue(prob, k, tol, steps_per_unit, max_iter, bracket):
         kernel = _kernel_for(p)
 
         def shoot(lam):
-            u, _, nz = _propagate(pieces, kernel, p, pc, lam, 0.0, 1.0)
+            u, _, nz = _propagate(pieces, kernel, p, pc, lam, 0.0, 1.0, rescale=True)
             return u, nz
     else:
         def shoot(lam):
@@ -418,43 +477,13 @@ def _bracket_eigenvalue(prob, k, tol, steps_per_unit, max_iter, bracket):
         raise BracketError(f"upper bracket end {hi!r} is not above lambda_{k}")
 
     # Between lam_(k-1) and lam_(k+1), g is continuous and changes sign
-    # only at lam_k, so once both ends shoot k-1 or k interior zeros with
-    # g(lo) > 0 >= g(hi), the midpoint gives way to regula falsi with the
-    # Illinois modification: the g of an end retained twice in a row is
-    # halved.  The point is kept half a tolerance inside the bracket, so
-    # that once it sits next to one end the next shot lands across lam_k
-    # and closes the bracket.  ``widths`` holds the bracket widths before
-    # each step of the current run of interpolation steps; a run that has
-    # not halved the bracket over three steps (one Illinois cycle: two
-    # steps retaining the same end, then the modified one) is cut by a
-    # midpoint.
-    moved_lo = None
-    widths: list = []
-    for _ in range(max_iter):
-        if hi - lo <= tol * lo:
-            break
-        if g_hi <= 0.0 < g_lo and not (len(widths) >= 3 and hi - lo > 0.5 * widths[-3]):
-            margin = 0.5 * tol * lo
-            lam = min(max(lo + g_lo / (g_lo - g_hi) * (hi - lo), lo + margin), hi - margin)
-            widths.append(hi - lo)
-        else:
-            lam = 0.5 * (lo + hi)
-            widths.clear()
-        small, g = classify(lam)
-        if small:
-            if moved_lo is True:
-                g_hi *= 0.5
-            lo, g_lo = lam, g
-        else:
-            if moved_lo is False:
-                g_lo *= 0.5
-            hi, g_hi = lam, g
-        moved_lo = small
-    else:
+    # only at lam_k: once both ends shoot k-1 or k zeros, Illinois steps.
+    bounds = _illinois(classify, lo, hi, g_lo, g_hi, lambda lo, hi: tol * lo, max_iter)
+    if bounds is None:
         raise NonconvergenceError(
             f"eigenvalue bracketing did not reach tolerance {tol!r} "
             f"in {max_iter} iterations")
-    return lo, hi, pieces
+    return (*bounds, pieces)
 
 
 def solve_eigenvalue(prob: Problem, k: int, tol: float = 1e-9, *,
@@ -464,10 +493,6 @@ def solve_eigenvalue(prob: Problem, k: int, tol: float = 1e-9, *,
     (eigenvalue only; see solve_eigenpair for the pair).  ``max_iter``
     bounds the bracketing iterations, one shot each, after the shots at
     the two bracket ends."""
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     lo, hi, _ = _bracket_eigenvalue(prob, k, tol, steps_per_unit, max_iter, bracket)
     return 0.5 * (lo + hi)
 
@@ -483,10 +508,6 @@ def solve_eigenpair(prob: Problem, k: int, tol: float = 1e-9, *,
     with the coefficient breakpoints, and normalized to unit L^p norm in
     the composite-trapezoid sense with u'(0) > 0.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples!r}")
     lo, hi, pieces = _bracket_eigenvalue(prob, k, tol, steps_per_unit, max_iter, bracket)

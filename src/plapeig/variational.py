@@ -14,7 +14,7 @@ decreases under mesh refinement; minimizing it gives an independent check
 on the shooting solver.  The second eigenvalue is cross-checked through
 its nodal characterization: the splitting point c where the first
 eigenvalue of (0, c) equals that of (c, L) yields lambda_2 as the common
-value, found by bisection on the difference of the two monotone curves.
+value, found by an Illinois search on the ratio of the two curves.
 
 The numerator N and denominator D have the analytic elementwise gradients
 
@@ -28,23 +28,22 @@ exactly, because the element fluxes p a_e phi_p(dW_e) telescope; what is
 left is one scalar root for the boundary condition at x = L.  By
 p-homogeneity and Hoelder's inequality R(W) <= R(U), so the quotient
 never increases along the iteration.  Convergence is tested on the
-quotient gradient, with a dual norm from one tridiagonal solve with the
-linearized stiffness matrix (weights p(p-1) a_e |dU_e|^(p-2) / h_e).
+quotient gradient, with a dual norm from the linearized stiffness matrix
+(weights p(p-1) a_e |dU_e|^(p-2) / h_e), whose fluxes telescope as well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from .errors import BracketError, NonconvergenceError
 from .problem import Problem
 from .ptrig import _kernel_for, _sin_array, pi_p
 from .ptrig import sin_p  # noqa: F401  (perfbench/tracing.py wraps variational.sin_p)
-from .shooting import solve_eigenvalue
+from .shooting import _illinois, solve_eigenvalue
 
 __all__ = [
     "Mesh", "make_mesh", "rayleigh_quotient", "quotient_and_gradient",
@@ -149,24 +148,19 @@ def _normalized(mesh: Mesh, p: float, U: np.ndarray) -> np.ndarray:
 
 def _precondition(mesh: Mesh, p: float, U: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Solve K d = g with the linearized stiffness of the current iterate
-    (SPD tridiagonal; degenerate element weights are clipped)."""
+    (degenerate element weights w_e are clipped): the fluxes w_e (d_(e+1)
+    - d_e) are f_0 - G_e with G the running sum of g, d(L) = 0 makes f_0
+    the 1/w-weighted mean of G, and a second running sum gives d."""
     d = np.diff(U) / mesh.h
     scale = float(np.max(np.abs(d)))
     if scale == 0.0:
         return g.copy()
-    w = p * (p - 1.0) * mesh.a_mid * \
-        np.clip(np.abs(d), 1e-6 * scale, None) ** (p - 2.0) / mesh.h
-    n = len(U)
-    # interior system, matrix bands for solve_banded
-    diag = w[:-1] + w[1:]
-    off = -w[1:-1]
-    ab = np.zeros((3, n - 2))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    ab[2, :-1] = off
-    sol = solve_banded((1, 1), ab, g[1:-1])
-    out = np.zeros_like(g)
-    out[1:-1] = sol
+    inv_w = mesh.h / (p * (p - 1.0) * mesh.a_mid *
+                      np.clip(np.abs(d), 1e-6 * scale, None) ** (p - 2.0))
+    G = np.concatenate([[0.0], np.cumsum(g[1:-1])])
+    f0 = float(np.dot(inv_w, G)) / float(np.sum(inv_w))
+    out = np.concatenate([[0.0], np.cumsum((f0 - G) * inv_w)])
+    out[-1] = 0.0
     return out
 
 
@@ -191,9 +185,16 @@ def _inverse_step(mesh: Mesh, p: float, gden: np.ndarray) -> np.ndarray:
         t = (s - F) * r
         return np.sign(t) * np.abs(t) ** e
 
+    def classify(s):
+        g = -float(np.dot(mesh.h, slopes(s)))
+        return g > 0.0, g
+
+    # Halving the width-1 bracket every four evaluations, 300 reach xtol.
     lo, hi = float(np.min(F)), float(np.max(F))
-    s = brentq(lambda s: float(np.dot(mesh.h, slopes(s))), lo, hi,
-               xtol=_EPS * max(abs(lo), abs(hi)), rtol=4.0 * _EPS)
+    xtol = _EPS * max(abs(lo), abs(hi))
+    lo, hi = _illinois(classify, lo, hi, classify(lo)[1], classify(hi)[1],
+                       lambda lo, hi: xtol + 4.0 * _EPS * max(abs(lo), abs(hi)), 300)
+    s = 0.5 * (lo + hi)
     dW = slopes(s)
     # For p > 2 the sum is vertical where s crosses an F_e: one float step
     # of s there moves it by about h_e (ulp(F_e) r_e)^(1/(p-1)), so the
@@ -210,6 +211,7 @@ def _inverse_step(mesh: Mesh, p: float, gden: np.ndarray) -> np.ndarray:
     return W
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def minimize_lambda1(prob: Problem, n: int, tol: float = 1e-8,
                      max_iter: int = 2000, return_history: bool = False):
     """Minimize the discrete Rayleigh quotient from the sin_p first-mode
@@ -228,9 +230,10 @@ def minimize_lambda1(prob: Problem, n: int, tol: float = 1e-8,
     test matters for p < 2, where the quotient's curvature blows up like
     |u'|^(p-2) at interior critical points of u and componentwise
     stationarity can be out of reach although the value has converged.
-    Raises NonconvergenceError if the iteration budget is exhausted or a
+    Raises NonconvergenceError if the iteration budget is exhausted, if a
     step fails to lower the quotient, which happens once the gradient is
-    at rounding level.
+    at rounding level, or if the quotient or its gradient leaves the
+    float range (overflow or underflow, silenced in numpy, show there).
     """
     if not n >= 16:
         raise ValueError(f"mesh must have at least 16 elements, got {n!r}")
@@ -243,7 +246,13 @@ def minimize_lambda1(prob: Problem, n: int, tol: float = 1e-8,
     U[-1] = 0.0
     U = _normalized(mesh, p, U)
 
-    val, g, gden = _quotient_terms(mesh, p, U)
+    def terms(V):
+        val, g, gden = _quotient_terms(mesh, p, V)
+        if not (0.0 < val < math.inf and np.all(np.isfinite(g))):
+            raise NonconvergenceError(f"quotient {val!r} or its gradient left the float range")
+        return val, g, gden
+
+    val, g, gden = terms(U)
     history = [val]
     converged = False
     for _ in range(max_iter):
@@ -254,7 +263,7 @@ def minimize_lambda1(prob: Problem, n: int, tol: float = 1e-8,
             converged = True
             break
         W = _normalized(mesh, p, _inverse_step(mesh, p, gden))
-        val_w, g_w, gden_w = _quotient_terms(mesh, p, W)
+        val_w, g_w, gden_w = terms(W)
         if not val_w <= val:
             raise NonconvergenceError(
                 "no descent step found; the quotient gradient may be at "
@@ -275,9 +284,11 @@ def lambda2_equalize(prob: Problem, tol: float = 1e-7, max_iter: int = 200,
                      subinterval_tol: float | None = None) -> tuple:
     """The second eigenvalue through nodal equalization.
 
-    Bisects on the splitting point c in [delta, L - delta], with delta
-    from the a-priori nodal length bound, until the first eigenvalues of
-    the two subintervals agree to relative tol.  Returns (lambda2, c).
+    Searches the splitting point c in [delta, L - delta], with delta
+    from the a-priori nodal length bound, by Illinois steps on
+    log(l1/l2), l1 and l2 the first eigenvalues of (0, c) and (c, L),
+    until they agree to relative tol.  Returns (lambda2, c); ``max_iter``
+    bounds the points tried, two subinterval solves each.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -287,25 +298,25 @@ def lambda2_equalize(prob: Problem, tol: float = 1e-7, max_iter: int = 200,
     delta = 0.95 * (L * ratio ** (1.0 / p) / 2.0)
     subtol = subinterval_tol if subinterval_tol is not None else max(tol / 20.0, 1e-12)
 
-    def left(c):
-        return solve_eigenvalue(prob.restricted(0.0, c), 1, subtol)
+    found = []
 
-    def right(c):
-        return solve_eigenvalue(prob.restricted(c, L), 1, subtol)
+    def classify(c):
+        l1 = solve_eigenvalue(prob.restricted(0.0, c), 1, subtol)
+        l2 = solve_eigenvalue(prob.restricted(c, L), 1, subtol)
+        if abs(l1 - l2) <= tol * max(l1, l2):
+            found.append((0.5 * (l1 + l2), c))
+        return l1 > l2, math.log(l1 / l2)
 
     lo, hi = delta, L - delta
-    if not (left(lo) - right(lo) > 0.0 > left(hi) - right(hi)):
+    (below_lo, g_lo), (below_hi, g_hi) = classify(lo), classify(hi)
+    if not (below_lo and not below_hi):
         raise BracketError(
             f"equalization bracket [{lo}, {hi}] does not straddle the crossing")
-    for _ in range(max_iter):
-        c = 0.5 * (lo + hi)
-        l1, l2 = left(c), right(c)
-        if abs(l1 - l2) <= tol * max(l1, l2):
-            return 0.5 * (l1 + l2), c
-        if l1 > l2:
-            lo = c
-        else:
-            hi = c
+    found.clear()  # only points inside the bracket are returned
+    _illinois(classify, lo, hi, g_lo, g_hi, lambda lo, hi: math.inf if found else 0.0,
+              max_iter)
+    if found:
+        return found[0]
     raise NonconvergenceError(
         f"equalization did not reach tolerance {tol!r} in {max_iter} iterations")
 

@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import plapeig
 from plapeig import ConfigError, pi_p
 from plapeig.cli import main, parse_config
+
+from exact_p2 import transfer_matrix_eigenvalue_p2
 
 CONSTANT_PROBLEM = {
     "length": 1.0,
@@ -286,18 +292,46 @@ def test_exit_code_sweep_failure(tmp_path, capsys):
     assert "solver error" in err
 
 
+@pytest.mark.parametrize("sub, length, reason", [
+    ("lambda1-fem", 1e-200, "float range"),
+    ("solve", 1e200, "underflows"),
+])
+def test_exit_code_for_eigenvalues_outside_the_floats(tmp_path, capsys, sub, length, reason):
+    # lambda_1 = (pi/L)^2 leaves the floats: a solver error, not a config
+    # error and not a silent inf or 0.
+    doc = {"problem": {**CONSTANT_PROBLEM, "length": length}, "parameters": {}}
+    code, out, err = run_cli(tmp_path, capsys, sub, doc)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("solver error:") and reason in err
+
+
+def test_import_loads_no_scipy():
+    probe = ("import sys, plapeig; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(plapeig.__file__)), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def test_exit_code_overflow_in_a_shot(tmp_path, capsys):
-    # 200 pieces alternating a = 1 and 1e6 overflow the closed-form state
-    # during bracketing; that is a solver failure, not a traceback.
+    # 200 pieces alternating a = 1 and 1e6: far from an eigenvalue the
+    # closed-form state grows across the interfaces until it overflows
+    # (lam = 1.78e8 does on piece 190), unless the bracket's shots rescale
+    # it, after which the solve succeeds.
     n = 200
+    a_vals = [1.0 if i % 2 == 0 else 1e6 for i in range(n)]
     doc = {"problem": {"length": 1.0, "p": 2.0,
                        "a": {"kind": "piecewise-constant",
                              "breakpoints": [i / n for i in range(n + 1)],
-                             "values": [1.0 if i % 2 == 0 else 1e6 for i in range(n)]},
+                             "values": a_vals},
                        "rho": {"kind": "constant", "value": 1.0}},
            "parameters": {"k": 3}}
     code, out, err = run_cli(tmp_path, capsys, "solve", doc)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("solver error:")
-    assert "lam=" in err and "piece" in err
+    assert code == 0, err
+    _, rows = csv_rows(out)
+    lam = float(rows[0][1])
+    exact = transfer_matrix_eigenvalue_p2([1.0 / n] * n, a_vals, 3, (0.5 * lam, 2.0 * lam))
+    assert lam == pytest.approx(exact, rel=1e-9)

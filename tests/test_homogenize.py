@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -46,6 +47,32 @@ def test_effective_coefficient_piecewise_linear_cell():
     # p=2: (int dy/(1+2y))^-1 = 2/ln 3
     assert effective_coefficient(cell, 2.0) == pytest.approx(2.0 / math.log(3.0),
                                                              rel=1e-10)
+
+
+def effective_coefficient_mpmath(breakpoints, values, p):
+    # (int_0^1 a^(-1/(p-1)))^-(p-1) for piecewise-linear a, by 30-digit
+    # tanh-sinh quadrature on each segment.
+    mpmath.mp.dps = 30
+    pm = mpmath.mpf(p)
+    q = 1 / (pm - 1)
+    total = mpmath.mpf(0)
+    for x0, x1, v0, v1 in zip(breakpoints, breakpoints[1:], values, values[1:]):
+        x0, x1, v0, v1 = (mpmath.mpf(v) for v in (x0, x1, v0, v1))
+        total += mpmath.quad(lambda y: (v0 + (v1 - v0) * (y - x0) / (x1 - x0)) ** -q, [x0, x1])
+    return total ** -(pm - 1)
+
+
+@pytest.mark.parametrize("p", [1.05, 1.1, 2.0])
+@pytest.mark.parametrize("values", [(1e-3, 1e3), (1e3, 1e-3), (2.0, 0.01, 7.0),
+                                    (1.0, 1.0 + 1e-9, 5.0)])
+def test_effective_coefficient_linear_cell_matches_mpmath(values, p):
+    # a from 1e-3 to 1e3 at p = 1.05 came out 4.9e-4 off by adaptive
+    # quadrature; each segment is now integrated in closed form (a log at
+    # p = 2).
+    breakpoints = np.linspace(0.0, 1.0, len(values)).tolist()
+    cell = Coefficient.piecewise_linear(breakpoints, list(values))
+    ref = effective_coefficient_mpmath(breakpoints, values, p)
+    assert abs(effective_coefficient(cell, p) - ref) <= 1e-13 * ref
 
 
 def test_effective_coefficient_bounds_and_mean_inequality():

@@ -292,10 +292,40 @@ def test_problem_breakpoints_and_pieces():
                       (0.5, 1.0, 4.0, 3.0)]
 
 
+def pieces_by_materializing(prob):
+    # Each piece's values from the materialized coefficients, called at
+    # the piece midpoint.
+    am = prob.a.materialized(0.0, prob.length)
+    rm = prob.rho.materialized(0.0, prob.length)
+    edges = [0.0] + prob.breakpoints() + [prob.length]
+    return [(lo, hi, am(0.5 * (lo + hi)), rm(0.5 * (lo + hi)))
+            for lo, hi in zip(edges, edges[1:])]
+
+
+@pytest.mark.parametrize("case", ["plain", "periodic", "periodic-both"])
+def test_problem_pieces_match_the_materialized_coefficients(case):
+    rng = np.random.default_rng(5)
+    edges = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.5, 30)), [2.5]])
+    plain = Coefficient.piecewise_constant(edges, rng.uniform(0.1, 10.0, 31))
+    cell = Coefficient.piecewise_constant([0.0, 0.2, 0.7, 1.0], [1.0, 4.0, 0.3])
+    if case == "plain":
+        a, rho = plain, Coefficient.piecewise_constant([0.0, 0.9, 2.5], [1.0, 2.0])
+    elif case == "periodic":
+        a, rho = Coefficient.periodic(cell, 2.5 / 1024), plain
+    else:
+        a = Coefficient.periodic(cell, 2.5 / 1024)
+        rho = Coefficient.periodic(two_phase(), 2.5 / 333)
+    prob = Problem(2.5, 2.0, a, rho)
+    assert np.array_equal(np.array(prob.pieces()), np.array(pieces_by_materializing(prob)))
+
+
 def test_problem_pieces_none_for_linear_data():
     a = Coefficient.piecewise_linear([0.0, 1.0], [1.0, 2.0])
     prob = Problem(1.0, 2.0, a, Coefficient.constant(1.0))
     assert prob.pieces() is None
+    periodic = Coefficient.periodic(Coefficient.piecewise_linear([0.0, 0.5, 1.0],
+                                                                 [1.0, 2.0, 1.0]), 0.1)
+    assert Problem(1.0, 2.0, Coefficient.constant(1.0), periodic).pieces() is None
 
 
 def test_problem_periodic_breakpoints():

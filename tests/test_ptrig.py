@@ -1,20 +1,23 @@
 """Generalized trigonometric functions against independent oracles.
 
-The implementation evaluates pi_p by quadrature of the defining integral
-and sin_p/asin_p from tables built on its power series; the oracles here
-are the Beta-function closed form for pi_p and the regularized incomplete
-Beta function for asin_p and its complement, so agreement is a real
-cross-check and not a tautology.
+The implementation evaluates pi_p in closed form and sin_p/asin_p from
+tables built on power series of the defining integral; the oracles here
+are quadrature of that integral and 30-digit Gamma functions for pi_p,
+and the regularized incomplete Beta function for asin_p and its
+complement, so agreement is a real cross-check and not a tautology.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import betainc
 
 from plapeig import Exponent, asin_p, dsin_p, pi_p, sin_p
-from plapeig.ptrig import _asin_core, _kernel_for, _reduce, _sin_array, _sin_core
+from plapeig.ptrig import (_asin_core, _cheb_points, _fit, _kernel_for, _reduce,
+                           _sin_array, _sin_core)
 
 P_GRID = [1.2, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0]
 
@@ -47,6 +50,57 @@ def test_pi_2_is_pi():
 @pytest.mark.parametrize("p", P_GRID)
 def test_pi_p_matches_closed_form(p):
     assert pi_p(p) == pytest.approx(pi_p_closed_form(p), abs=1e-10)
+
+
+def pi_p_by_quadrature(p: float) -> float:
+    # 2 asin_p(1) by adaptive quadrature of the defining integral: plain on
+    # [0, 1/2], and on [1/2, 1] after 1 - t = w^q, q = p/(p-1), which
+    # makes the integrand bounded.
+    q = p / (p - 1.0)
+    opts = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+
+    def head(t):
+        return ((p - 1.0) / -math.expm1(p * math.log(t)) if t > 0.0 else p - 1.0) ** (1.0 / p)
+
+    def tail(w):
+        x = w ** q
+        if x < 1e-280:
+            return q * ((p - 1.0) / p) ** (1.0 / p)
+        return ((p - 1.0) / -math.expm1(p * math.log1p(-x))) ** (1.0 / p) * q * w ** (q - 1.0)
+
+    return 2.0 * (quad(head, 0.0, 0.5, **opts)[0] + quad(tail, 0.0, 0.5 ** (1.0 / q), **opts)[0])
+
+
+@pytest.mark.parametrize("p", np.geomspace(1.01, 1e5, 41).tolist() + [1.05, 1.5, 3.0, 150.0])
+def test_pi_p_matches_the_defining_integral_by_quadrature(p):
+    assert pi_p(p) == pytest.approx(pi_p_by_quadrature(p), rel=1e-14, abs=0.0)
+
+
+def test_pi_p_matches_gamma_functions_to_rounding():
+    # pi_p = 2 (p-1)^(1/p) Gamma(1/p) Gamma(1-1/p) / p, from the Beta
+    # integral, at 30 digits; the sine of the closed form does not enter.
+    mpmath.mp.dps = 30
+    for p in np.geomspace(1.01, 1e5, 400):
+        pm = mpmath.mpf(float(p))
+        ref = 2 * (pm - 1) ** (1 / pm) * mpmath.gamma(1 / pm) * mpmath.gamma(1 - 1 / pm) / pm
+        assert abs(pi_p(float(p)) - ref) <= 1e-15 * ref, p
+
+
+def test_fit_reproduces_a_polynomial():
+    # Interpolation at degree + 1 Chebyshev points is exact for a
+    # polynomial of that degree, so the Horner coefficients come back.
+    coef = np.array([0.3, -1.2, 0.5, 2.0, -0.7, 0.25, 1.1, -0.4, 0.9, 0.05, -0.3, 0.6])
+    x = _cheb_points(len(coef) - 1)
+    values = np.polynomial.polynomial.polyval(x, coef)
+    fitted = _fit(np.vstack([values, 2.0 * values]))
+    # The exact Chebyshev-to-power map has entries up to 2^10 at degree
+    # 11, so single coefficients carry a few hundred ulps; the fit itself
+    # stays at rounding level.
+    np.testing.assert_allclose(fitted[0], coef[::-1], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(fitted[1], 2.0 * coef[::-1], rtol=0.0, atol=2e-12)
+    t = np.linspace(-1.0, 1.0, 1001)
+    np.testing.assert_allclose(np.polyval(fitted[0], t),
+                               np.polynomial.polynomial.polyval(t, coef), rtol=0.0, atol=1e-14)
 
 
 def test_pi_p_frozen_values():

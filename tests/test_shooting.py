@@ -429,6 +429,39 @@ def test_endgame_on_high_contrast_pieces():
         assert solve_eigenvalue(prob, k, max_iter=40) == pytest.approx(exact, rel=1e-8)
 
 
+def alternating_problem(n, p):
+    edges = [i / n for i in range(n + 1)]
+    a_vals = [1.0 if i % 2 == 0 else 1e6 for i in range(n)]
+    return Problem(1.0, p, Coefficient.piecewise_constant(edges, a_vals),
+                   Coefficient.constant(1.0)), a_vals
+
+
+def test_unscaled_propagation_reports_the_overflow():
+    # The shot the bracket of lambda_3 takes at lam = 1.78e8 grows past
+    # the floats unscaled; propagate_piecewise_constant keeps returning
+    # the unscaled (u(L), v(L), n), so it reports that.
+    prob, _ = alternating_problem(200, 2.0)
+    with pytest.raises(NonconvergenceError, match=r"lam=178000000.0 failed on piece \d+"):
+        propagate_piecewise_constant(prob, 1.78e8)
+
+
+@pytest.mark.parametrize("n, k", [(200, 3), (2000, 1)])
+def test_rescaled_shots_solve_many_contrast_pieces(n, k):
+    prob, a_vals = alternating_problem(n, 2.0)
+    lam = solve_eigenvalue(prob, k)
+    exact = transfer_matrix_eigenvalue_p2([1.0 / n] * n, a_vals, k, (0.5 * lam, 2.0 * lam))
+    assert lam == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_rescaled_shots_give_eigenpairs_on_many_contrast_pieces(p):
+    prob, _ = alternating_problem(200, p)
+    eig = solve_eigenpair(prob, 3)
+    assert len(eig.zeros) == 2
+    assert propagate_piecewise_constant(prob, eig.lam * (1.0 - 2e-9))[2] == 2
+    assert propagate_piecewise_constant(prob, eig.lam * (1.0 + 2e-9))[2] == 3
+
+
 def test_bracket_override_failures():
     prob = constant_problem()
     mu1 = math.pi ** 2

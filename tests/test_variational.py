@@ -5,11 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from plapeig import (BracketError, Coefficient, Eigenpair, NonconvergenceError,
                      Problem, check_nodal_measure, check_weyl, lambda2_equalize,
                      make_mesh, minimize_lambda1, pi_p, quotient_and_gradient,
                      rayleigh_quotient, sin_p, solve_eigenpair, solve_eigenvalue)
+from plapeig import variational
 from plapeig.variational import (_inverse_step, _normalized, _precondition,
                                  _quotient_terms)
 
@@ -218,6 +220,38 @@ def test_inverse_step_at_p2_is_the_unit_preconditioned_step():
     np.testing.assert_allclose(W, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_precondition_solves_the_tridiagonal_system(p):
+    # Against scipy's banded LU on the same weights.
+    prob = seeded_two_phase(4, p)
+    mesh = make_mesh(prob, 2000)
+    rng = np.random.default_rng(9)
+    U = _normalized(mesh, p, first_mode(prob, mesh) * (1.0 + 0.1 * rng.standard_normal(
+        len(mesh.nodes))))
+    g = rng.standard_normal(len(U))
+    g[0] = g[-1] = 0.0
+    d = np.abs(np.diff(U)) / mesh.h
+    w = p * (p - 1.0) * mesh.a_mid * np.clip(d, 1e-6 * np.max(d), None) ** (p - 2.0) / mesh.h
+    bands = np.zeros((3, len(U) - 2))
+    bands[0, 1:] = bands[2, :-1] = -w[1:-1]
+    bands[1] = w[:-1] + w[1:]
+    ref = solve_banded((1, 1), bands, g[1:-1])
+    got = _precondition(mesh, p, U, g)
+    assert got[0] == 0.0 and got[-1] == 0.0
+    np.testing.assert_allclose(got[1:-1], ref, rtol=0.0, atol=1e-10 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("length", [1e-200, 1e200])
+def test_minimize_reports_a_quotient_outside_the_floats(length):
+    # lambda_1 = (pi/L)^2 overflows at L = 1e-200 and underflows at 1e200.
+    prob = Problem(length, 2.0, Coefficient.constant(1.0, (0.0, length)),
+                   Coefficient.constant(1.0, (0.0, length)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonconvergenceError, match="float range"):
+            minimize_lambda1(prob, 400)
+
+
 @pytest.mark.parametrize("p, tol", [(1.5, 1e-5), (3.0, 1e-8)])
 def test_minimize_needs_few_iterations_on_seeded_two_phase_problems(p, tol):
     for seed in range(20):
@@ -263,6 +297,26 @@ def test_equalize_constant_coefficients():
         lam2, c = lambda2_equalize(prob, 1e-9)
         assert c == pytest.approx(0.5, abs=1e-7)
         assert lam2 == pytest.approx((2.0 * pi_p(p)) ** p, rel=1e-7)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_equalize_needs_few_subsolves(p, monkeypatch):
+    # Midpoint bisection of the cut point took 42-56 subinterval solves
+    # here; the Illinois search takes 12-20.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_eigenvalue(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "solve_eigenvalue", counted)
+    for seed in range(8):
+        prob = seeded_two_phase(seed, p)
+        calls.clear()
+        lam2, _ = lambda2_equalize(prob)
+        assert len(calls) <= 25
+        ref = solve_eigenvalue(prob, 2, 1e-10)
+        assert abs(lam2 - ref) <= 1e-6 * ref
 
 
 def test_equalize_matches_shooting_on_two_phase():
