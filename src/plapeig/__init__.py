@@ -17,7 +17,7 @@ Layout:
 - ``ptrig``: pi_p, sin_p and friends (the constant-coefficient spectrum).
 - ``problem``: coefficients, problem containers, the pointwise identity.
 - ``shooting``: initial value integration, zero counting, eigenvalue
-  solving by nodal-count bracketing with an Illinois endgame.
+  solving by Illinois bracketing on the Pruefer phase theta(L) = k pi_p.
 - ``variational``: Rayleigh quotient minimization on a mesh, second
   eigenvalue by nodal equalization, bound and nodal-length checks.
 - ``homogenize``: effective coefficients and the small-period sweep.

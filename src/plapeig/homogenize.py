@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import SweepError
 from .problem import Coefficient, Eigenpair, Problem
-from .ptrig import _as_p, pi_p
+from .ptrig import _as_p, _constant_eigenvalue
 from .shooting import solve_eigenpair, solve_eigenvalue
 
 __all__ = [
@@ -56,18 +56,20 @@ def effective_coefficient(cell: Coefficient, p) -> float:
     with q = 1/(p-1), a piece of width w on which a runs linearly from v0
     to v1 (v0 = v1 if constant) has int a^(-q) = w v^(-q) expm1((1-q) l) /
     ((1-q) d), where v = min(v0, v1), d = max(v0, v1)/v - 1, l = log1p(d),
-    and the quotient is l/d at q = 1 and 1 at d = 0."""
+    and the quotient is l/d at q = 1 and 1 at d = 0.  The values are
+    divided by the cell minimum first, so v^(-q) cannot overflow."""
     pv = _as_p(p)
     q = 1.0 / (pv - 1.0)
     m = _unit_cell(cell, "cell").materialized(0.0, 1.0)
-    vals = np.asarray(m.values)
+    low = min(m.values)
+    vals = np.asarray(m.values) / low
     ends = (vals, vals) if m.kind == "piecewise-constant" else (vals[:-1], vals[1:])
     v = np.minimum(*ends)
     d = np.maximum(*ends) / v - 1.0
     l = np.log1p(d)
     ratio = np.expm1((1.0 - q) * l) / (1.0 - q) if q != 1.0 else l
     factor = np.divide(ratio, d, out=np.ones_like(d), where=d != 0.0)
-    return float(np.sum(np.diff(m.breakpoints) * v ** (-q) * factor)) ** (-(pv - 1.0))
+    return low * float(np.sum(np.diff(m.breakpoints) * v ** (-q) * factor)) ** (-(pv - 1.0))
 
 
 def effective_weight(cell: Coefficient) -> float:
@@ -89,7 +91,7 @@ def homogenized_eigenvalue(a_star: float, rho_star: float, p,
         raise ValueError("effective coefficient and weight must be positive")
     if not (length > 0.0 and k >= 1):
         raise ValueError("need positive length and k >= 1")
-    return (a_star / rho_star) * (pi_p(pv) * k / length) ** pv
+    return (a_star / rho_star) * _constant_eigenvalue(pv, k, length)
 
 
 @dataclass(frozen=True, eq=False)

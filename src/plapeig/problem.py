@@ -278,14 +278,14 @@ class Problem:
                 raise ValueError(f"{name} does not cover [0, {L}]")
 
     def breakpoints(self) -> list:
-        """Sorted union of both coefficients' breakpoints inside (0, length)."""
-        pts = sorted(set(self.a.interior_breakpoints(0.0, self.length))
-                     | set(self.rho.interior_breakpoints(0.0, self.length)))
-        out = []
-        for x in pts:
-            if not out or x - out[-1] > 1e-12 * self.length:
-                out.append(x)
-        return out
+        """Sorted union of both coefficients' breakpoints inside (0, length),
+        without a point within 1e-12 length of the one before it (so
+        without duplicates)."""
+        L = self.length
+        pts = np.sort(self.a.interior_breakpoints(0.0, L) + self.rho.interior_breakpoints(0.0, L))
+        keep = np.ones(len(pts), dtype=bool)
+        keep[1:] = pts[1:] - pts[:-1] > 1e-12 * L
+        return pts[keep].tolist()
 
     def pieces(self):
         """Constant pieces (x0, x1, a, rho) if both coefficients are

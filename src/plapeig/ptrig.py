@@ -76,6 +76,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonconvergenceError
+
 __all__ = ["Exponent", "pi_p", "asin_p", "sin_p", "dsin_p"]
 
 # Table layout: uniform bulk segments in s^p (asin_p) and z^p (sin_p),
@@ -409,6 +411,20 @@ def pi_p(p) -> float:
     # which keeps its relative accuracy as p -> 1 (pi/p rounds next to pi).
     angle = math.pi / p if p >= 2.0 else math.pi * ((p - 1.0) / p)
     return 2.0 * math.pi * (p - 1.0) ** (1.0 / p) / (p * math.sin(angle))
+
+
+def _constant_eigenvalue(p, k: int, length: float) -> float:
+    """mu_k = (pi_p k / L)^p, the k-th eigenvalue of the constant problem
+    a = rho = 1 on (0, L); NonconvergenceError where it overflows."""
+    pv = _as_p(p)
+    try:
+        mu = (pi_p(p) * k / length) ** pv
+    except OverflowError:
+        mu = math.inf
+    if mu == math.inf:
+        raise NonconvergenceError(f"mu_{k} = (pi_p k / L)^p overflows the floats "
+                                  f"at p = {pv!r}, k = {k!r}, L = {length!r}")
+    return mu
 
 
 def asin_p(p, s: float) -> float:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import BracketError, NonconvergenceError
 from .problem import Problem
-from .ptrig import _kernel_for, _sin_array, pi_p
+from .ptrig import _constant_eigenvalue, _kernel_for, _sin_array, pi_p
 from .ptrig import sin_p  # noqa: F401  (perfbench/tracing.py wraps variational.sin_p)
 from .shooting import _illinois, solve_eigenvalue
 
@@ -340,13 +340,11 @@ def check_weyl(prob: Problem, eigs, slack: float = 1e-9) -> dict:
     because for constant coefficients both bounds are tight (equality),
     so solver output can sit a rounding tolerance outside.
     """
-    p = prob.p.p
-    pip = pi_p(prob.p)
     alo, aup = prob.a.lower(), prob.a.upper()
     rlo, rup = prob.rho.lower(), prob.rho.upper()
     entries = []
     for k, lam in _eig_items(eigs):
-        mu = (pip * k / prob.length) ** p
+        mu = _constant_eigenvalue(prob.p, k, prob.length)
         lower = alo / rup * mu
         upper = aup / rlo * mu
         entries.append({

@@ -188,6 +188,17 @@ def test_homogenize_golden(tmp_path, capsys):
     assert float(rows[1][3]) == pytest.approx(6.4 * math.pi ** 2, rel=1e-12)
 
 
+def test_homogenize_strong_cell(tmp_path, capsys):
+    problem = {**CONSTANT_PROBLEM, "p": 1.05,
+               "a": {"kind": "piecewise-constant", "breakpoints": [0.0, 0.5, 1.0],
+                     "values": [1e-16, 1.0]}}
+    code, out, _ = run_cli(tmp_path, capsys, "homogenize",
+                           {"problem": problem, "parameters": {"k_list": [1]}})
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert float(rows[0][1]) == pytest.approx(1e-16 * 0.5 ** -0.05, rel=1e-13)
+
+
 def test_sweep_golden(tmp_path, capsys):
     doc = {"problem": TWO_PHASE_PROBLEM,
            "parameters": {"k": 1, "n_list": [2, 4, 8, 16], "tol": 1e-9}}
@@ -292,14 +303,23 @@ def test_exit_code_sweep_failure(tmp_path, capsys):
     assert "solver error" in err
 
 
-@pytest.mark.parametrize("sub, length, reason", [
-    ("lambda1-fem", 1e-200, "float range"),
-    ("solve", 1e200, "underflows"),
+@pytest.mark.parametrize("sub, length, reason, p, params", [
+    pytest.param("lambda1-fem", 1e-200, "float range", 2.0, {},
+                 id="lambda1-fem-1e-200-float range"),
+    pytest.param("solve", 1e200, "underflows", 2.0, {}, id="solve-1e+200-underflows"),
+    pytest.param("solve", 1e-200, "overflows", 2.0, {}, id="solve-1e-200-overflows"),
+    pytest.param("solve", 1.0, "overflows", 1000.0, {"k": 2}, id="solve-p1000-k2"),
+    pytest.param("solve", 1.0, "overflows", 1e5, {"k": 1}, id="solve-p1e5-k1"),
+    pytest.param("homogenize", 1.0, "overflows", 1000.0, {"k_list": [1, 2]},
+                 id="homogenize-p1000-k2"),
+    pytest.param("check-bounds", 1.0, "overflows", 1000.0, {"k_max": 2},
+                 id="check-bounds-p1000-k2"),
 ])
-def test_exit_code_for_eigenvalues_outside_the_floats(tmp_path, capsys, sub, length, reason):
-    # lambda_1 = (pi/L)^2 leaves the floats: a solver error, not a config
-    # error and not a silent inf or 0.
-    doc = {"problem": {**CONSTANT_PROBLEM, "length": length}, "parameters": {}}
+def test_exit_code_for_eigenvalues_outside_the_floats(tmp_path, capsys, sub, length, reason,
+                                                      p, params):
+    # lambda_k, or mu_k = (pi_p k / L)^p, leaves the floats: a solver error,
+    # not a config error, a traceback, or a silent inf or 0.
+    doc = {"problem": {**CONSTANT_PROBLEM, "length": length, "p": p}, "parameters": params}
     code, out, err = run_cli(tmp_path, capsys, sub, doc)
     assert code == 3
     assert out == ""

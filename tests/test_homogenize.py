@@ -1,6 +1,7 @@
 """Effective coefficients and small-period eigenvalue convergence."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -40,6 +41,16 @@ def test_effective_coefficient_two_phase_hand_values():
     assert effective_coefficient(cell, 2.0) == pytest.approx(1.6, abs=1e-15)
     # p=3: (0.5*(1 + 4^{-1/2}))^{-2} = (3/4)^{-2} = 16/9
     assert effective_coefficient(cell, 3.0) == pytest.approx(16.0 / 9.0, abs=1e-12)
+
+
+def test_effective_coefficient_of_a_strong_cell():
+    # At p = 1.05, a^(-1/(p-1)) = a^-20 overflows for a = 1e-16; scaled
+    # by the cell minimum it does not.
+    cell = Coefficient.piecewise_constant([0.0, 0.5, 1.0], [1e-16, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a_star = effective_coefficient(cell, 1.05)
+    assert a_star == pytest.approx(1e-16 * 0.5 ** -0.05, rel=1e-13)
 
 
 def test_effective_coefficient_piecewise_linear_cell():

@@ -319,6 +319,37 @@ def test_problem_pieces_match_the_materialized_coefficients(case):
     assert np.array_equal(np.array(prob.pieces()), np.array(pieces_by_materializing(prob)))
 
 
+def breakpoints_by_set_loop(prob):
+    # Set union of both coefficients' breakpoints, then a point is kept
+    # only when it lies more than 1e-12 L past the last one kept.
+    pts = sorted(set(prob.a.interior_breakpoints(0.0, prob.length))
+                 | set(prob.rho.interior_breakpoints(0.0, prob.length)))
+    out = []
+    for x in pts:
+        if not out or x - out[-1] > 1e-12 * prob.length:
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("case", ["constant", "plain", "periodic", "mixed"])
+def test_problem_breakpoints_match_the_set_loop(case):
+    rng = np.random.default_rng(7)
+    edges = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.5, 30)), [2.5]])
+    plain = Coefficient.piecewise_constant(edges, rng.uniform(0.1, 10.0, 31))
+    cell = Coefficient.piecewise_constant([0.0, 0.2, 0.7, 1.0], [1.0, 4.0, 0.3])
+    linear = Coefficient.piecewise_linear([0.0, 0.4, 1.0], [1.0, 2.0, 1.0])
+    a, rho = {
+        "constant": (Coefficient.constant(1.0, (0.0, 2.5)),
+                     Coefficient.constant(2.0, (0.0, 2.5))),
+        "plain": (plain, Coefficient.piecewise_constant([0.0, edges[5], 2.5], [1.0, 2.0])),
+        "periodic": (Coefficient.periodic(cell, 2.5 / 1024),
+                     Coefficient.periodic(cell, 2.5 / 512)),
+        "mixed": (Coefficient.periodic(linear, 2.5 / 333), plain),
+    }[case]
+    prob = Problem(2.5, 2.0, a, rho)
+    assert prob.breakpoints() == breakpoints_by_set_loop(prob)
+
+
 def test_problem_pieces_none_for_linear_data():
     a = Coefficient.piecewise_linear([0.0, 1.0], [1.0, 2.0])
     prob = Problem(1.0, 2.0, a, Coefficient.constant(1.0))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import j0, y0
 
 from plapeig import (BracketError, Coefficient, NonconvergenceError, Problem,
                      Trajectory, count_interior_zeros, dsin_p, integrate_ivp,
@@ -14,7 +16,7 @@ from plapeig import (BracketError, Coefficient, NonconvergenceError, Problem,
                      solve_eigenvalue, weyl_bracket)
 
 from plapeig.ptrig import _kernel_for, _reduce, _sin_core
-from plapeig.shooting import _pc_sample, _pc_zero_positions
+from plapeig.shooting import _end_phase, _pc_sample, _pc_zero_positions, _propagate
 
 from exact_p2 import transfer_matrix_eigenvalue_p2
 
@@ -427,6 +429,75 @@ def test_endgame_on_high_contrast_pieces():
         exact = transfer_matrix_eigenvalue_p2([1.0 / CONTRAST_PIECES] * CONTRAST_PIECES,
                                               CONTRAST_A, k, weyl_bracket(prob, k))
         assert solve_eigenvalue(prob, k, max_iter=40) == pytest.approx(exact, rel=1e-8)
+
+
+def test_high_contrast_solves_in_twenty_iterations():
+    # With the phase eigencondition regula falsi runs from the Weyl
+    # bracket on; midpoints until both ends shot k-1 or k zeros took 27-30.
+    prob = contrast_problem(3.0)
+    for k in range(1, 6):
+        lam = solve_eigenvalue(prob, k, max_iter=20)
+        assert propagate_piecewise_constant(prob, lam * (1.0 - 2e-9))[2] == k - 1
+        assert propagate_piecewise_constant(prob, lam * (1.0 + 2e-9))[2] == k
+
+
+def bessel_eigenvalue(k):
+    # -((1 + 2x) u')' = lam u on (0, 1): u = A J0(sqrt(lam t)) + B Y0(sqrt(lam t))
+    # with t = 1 + 2x, so lam_k is the k-th root of the cross product.
+    def cross(lam):
+        s, r = math.sqrt(lam), math.sqrt(3.0 * lam)
+        return j0(s) * y0(r) - j0(r) * y0(s)
+
+    grid = np.linspace(0.5, 200.0, 4000)
+    vals = [cross(lam) for lam in grid]
+    roots = [brentq(cross, a, b, xtol=1e-14) for a, b, fa, fb
+             in zip(grid, grid[1:], vals, vals[1:]) if fa * fb < 0.0]
+    return roots[k - 1]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rk4_route_solves_in_ten_iterations(k):
+    # The RK4 shots feed the same phase eigencondition as the closed form.
+    a = Coefficient.piecewise_linear([0.0, 1.0], [1.0, 3.0])
+    prob = Problem(1.0, 2.0, a, Coefficient.constant(1.0))
+    lam = solve_eigenvalue(prob, k, steps_per_unit=1000, max_iter=10)
+    assert lam == pytest.approx(bessel_eigenvalue(k), rel=1e-8)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0])
+def test_end_phase_of_constant_pieces_is_omega_l(p):
+    # On one constant piece theta(L) = L (lam rho / a)^(1/p) exactly.
+    kernel = _kernel_for(p)
+    pc = p / (p - 1.0)
+    a, rho, length = 2.0, 0.5, 1.3
+    pieces = [(0.0, length, a, rho)]
+    for lam in (0.7, 3.0, 41.0, 250.0, 1234.5):
+        theta = _end_phase(kernel, p, pc, a, rho, lam,
+                           *_propagate(pieces, kernel, p, pc, lam, 0.0, 1.0))
+        assert theta == pytest.approx(length * (lam * rho / a) ** (1.0 / p), rel=4e-15)
+    # L = k pi_p at omega = 1: the shot ends on u(L) = 0.0 exactly, with
+    # k-1 interior zeros, and theta(L) is k pi_p.
+    for k in (1, 2):
+        pieces = [(0.0, k * kernel.pi, 1.0, 1.0)]
+        u, v, n = _propagate(pieces, kernel, p, pc, 1.0, 0.0, 1.0)
+        assert u == 0.0 and n == k - 1
+        assert _end_phase(kernel, p, pc, 1.0, 1.0, 1.0, u, v, n) == k * kernel.pi
+
+
+def test_end_phase_at_large_p_keeps_the_phase_next_to_a_zero():
+    # At p = 300, |u|^p underflows once |u| < 0.094 A; the end phase must
+    # still see u(L) != 0, or lam_1 is lost.
+    lam = solve_eigenvalue(constant_problem(p=300.0), 1)
+    assert lam == pytest.approx(pi_p(300.0) ** 300.0, rel=1e-9)
+
+
+def test_end_phase_overflow_is_a_solver_error():
+    # The RK4 shot at the lower bracket end ends on u(L) = 1.7e297: finite,
+    # but its energy share |u(L)|^p overflows in the end phase.
+    a = Coefficient.piecewise_linear([0.0, 1.0], [1e-15, 1.0])
+    prob = Problem(1.0, 1.05, a, Coefficient.constant(1.0))
+    with pytest.raises(NonconvergenceError, match="end phase of the shot"):
+        solve_eigenvalue(prob, 1, 1e-6, steps_per_unit=100)
 
 
 def alternating_problem(n, p):
