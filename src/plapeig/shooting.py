@@ -118,7 +118,6 @@ def integrate_ivp(prob: Problem, lam: float, u0: float = 0.0, v0: float = 1.0,
     if u0 == 0.0 and v0 == 0.0:
         raise ValueError("initial state (0, 0) only yields the trivial solution")
     p = prob.p.p
-    pc = prob.p.p_conj
     # phi_p_inv and phi_p as |t|^e with the sign of t, in float arithmetic.
     e_inv = 1.0 / (p - 1.0)
     e_phi = p - 1.0
@@ -183,7 +182,7 @@ def integrate_ivp(prob: Problem, lam: float, u0: float = 0.0, v0: float = 1.0,
     uarr = np.array(us)
     varr = np.array(vs)
 
-    drift = _drift(prob, lam, grid, uarr, varr, p, pc)
+    drift = _drift(prob, lam, grid, uarr, varr, p, prob.p.p_conj)
     if drift_ceiling is not None and math.isfinite(drift) and drift > drift_ceiling:
         raise NonconvergenceError(
             f"hamiltonian drift {drift:.3e} exceeds ceiling {drift_ceiling:.3e}; "
@@ -255,13 +254,12 @@ def weyl_bracket(prob: Problem, k: int) -> tuple:
     """
     if not k >= 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
-    p = prob.p.p
     mu = _constant_eigenvalue(prob.p, k, prob.length)
     lo = 0.5 * (prob.a.lower() / prob.rho.upper() * mu)
     hi = 2.0 * (prob.a.upper() / prob.rho.lower() * mu)
     if not lo > 0.0:
         raise BracketError(f"comparison bracket ({lo!r}, {hi!r}) of lambda_{k} underflows "
-                           f"at L = {prob.length!r}, p = {p!r}")
+                           f"at L = {prob.length!r}, p = {prob.p.p!r}")
     return lo, hi
 
 
@@ -271,12 +269,12 @@ def weyl_bracket(prob: Problem, k: int) -> tuple:
 def _phase(kernel, p, pc, av, omega, u, v):
     """(phi, A) with (u, v) the state of A sin_p(phi), phi in [-pi_p/2,
     3 pi_p/2), on a piece with coefficient av and frequency omega, from
-    the energy split of the module notes; where |u|^p underflows (at
-    large p, next to a zero) |s| = |u|/A."""
+    the energy split of the module notes; where kin/pot is not finite
+    (|u| < 10^(-308/p) A, next to a zero at large p) |s| = |u|/A."""
     pot = abs(u) ** p
     kin = (p - 1.0) * abs(v / av) ** pc / omega ** p
     amp = (pot + kin) ** (1.0 / p)
-    if pot == 0.0:
+    if pot == 0.0 or kin / pot == math.inf:
         s = abs(u) / amp
         x = 1.0 - s
     else:
@@ -516,12 +514,11 @@ def solve_eigenpair(prob: Problem, k: int, tol: float = 1e-9, *,
     lo, hi, pieces = _bracket_eigenvalue(prob, k, tol, steps_per_unit, max_iter, bracket)
     lam = 0.5 * (lo + hi)
     p = prob.p.p
-    pc = prob.p.p_conj
     L = prob.length
 
     if pieces is not None:
         kernel = _kernel_for(p)
-        zeros, desc = _pc_zero_positions(pieces, kernel, p, pc, lo, 0.0, 1.0, L)
+        zeros, desc = _pc_zero_positions(pieces, kernel, p, prob.p.p_conj, lo, 0.0, 1.0, L)
         base = np.linspace(0.0, L, samples)
         grid = np.unique(np.concatenate([base, np.array(prob.breakpoints())]))
         u = _pc_sample(desc, kernel, p, grid)

@@ -196,7 +196,7 @@ def test_homogenize_strong_cell(tmp_path, capsys):
                            {"problem": problem, "parameters": {"k_list": [1]}})
     assert code == 0
     _, rows = csv_rows(out)
-    assert float(rows[0][1]) == pytest.approx(1e-16 * 0.5 ** -0.05, rel=1e-13)
+    assert float(rows[0][1]) == pytest.approx(1e-16 * 0.5 ** -0.05, rel=1e-13, abs=0.0)
 
 
 def test_sweep_golden(tmp_path, capsys):

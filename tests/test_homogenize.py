@@ -50,7 +50,7 @@ def test_effective_coefficient_of_a_strong_cell():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         a_star = effective_coefficient(cell, 1.05)
-    assert a_star == pytest.approx(1e-16 * 0.5 ** -0.05, rel=1e-13)
+    assert a_star == pytest.approx(1e-16 * 0.5 ** -0.05, rel=1e-13, abs=0.0)
 
 
 def test_effective_coefficient_piecewise_linear_cell():

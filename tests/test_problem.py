@@ -350,6 +350,18 @@ def test_problem_breakpoints_match_the_set_loop(case):
     assert prob.breakpoints() == breakpoints_by_set_loop(prob)
 
 
+def test_problem_breakpoints_drop_a_chain_of_close_points():
+    # Each point within 1e-12 L of the one before it is dropped, as in
+    # make_mesh, so a chain x1 < x2 < x3 of such gaps keeps only x1 even
+    # though x3 - x1 > 1e-12 L (the set loop kept x1 and x3).
+    x1, x2, x3 = 0.5, 0.5 + 0.8e-12, 0.5 + 1.6e-12
+    a = Coefficient.piecewise_constant([0.0, x1, x3, 1.0], [1.0, 2.0, 3.0])
+    rho = Coefficient.piecewise_constant([0.0, x2, 1.0], [1.0, 2.0])
+    prob = Problem(1.0, 2.0, a, rho)
+    assert prob.breakpoints() == [x1]
+    assert breakpoints_by_set_loop(prob) == [x1, x3]
+
+
 def test_problem_pieces_none_for_linear_data():
     a = Coefficient.piecewise_linear([0.0, 1.0], [1.0, 2.0])
     prob = Problem(1.0, 2.0, a, Coefficient.constant(1.0))

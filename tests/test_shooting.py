@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from scipy.special import j0, y0
 
 from plapeig import (BracketError, Coefficient, NonconvergenceError, Problem,
-                     Trajectory, count_interior_zeros, dsin_p, integrate_ivp,
+                     Trajectory, asin_p, count_interior_zeros, dsin_p, integrate_ivp,
                      interior_zero_locations, phi_p, phi_p_inv, pi_p,
                      propagate_piecewise_constant, sin_p, solve_eigenpair,
                      solve_eigenvalue, weyl_bracket)
@@ -484,11 +484,27 @@ def test_end_phase_of_constant_pieces_is_omega_l(p):
         assert _end_phase(kernel, p, pc, 1.0, 1.0, 1.0, u, v, n) == k * kernel.pi
 
 
-def test_end_phase_at_large_p_keeps_the_phase_next_to_a_zero():
-    # At p = 300, |u|^p underflows once |u| < 0.094 A; the end phase must
-    # still see u(L) != 0, or lam_1 is lost.
-    lam = solve_eigenvalue(constant_problem(p=300.0), 1)
-    assert lam == pytest.approx(pi_p(300.0) ** 300.0, rel=1e-9)
+@pytest.mark.parametrize("p, length", [(300.0, 1.0), (50.0, 2.0), (50.0, 3.0), (100.0, 3.0)])
+def test_end_phase_at_large_p_keeps_the_phase_next_to_a_zero(p, length):
+    # Shots that end with |u(L)| < 10^(-308/p) A (0.094 A at p = 300) must
+    # keep their phase: snapped to 0 or pi_p, lam_1 at L = 3 came out 1.7e-5
+    # (p = 50) and 4 % (p = 100) low, and p = 300 raised BracketError.
+    lam = solve_eigenvalue(constant_problem(p=p, length=length), 1)
+    assert lam == pytest.approx((pi_p(p) / length) ** p, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("p, u", [(50.0, 3e-7), (300.0, 0.05)])
+def test_end_phase_is_scale_invariant_next_to_a_zero(p, u):
+    # (u, v) and (c u, c^(p-1) v) have the same phase.  With |u| < 10^(-308/p) A
+    # kin/pot overflows at either scale, and |u|^p underflows at c = 1 only;
+    # both must give psi = asin_p(|u|/A), not the snapped psi = 0.
+    kernel = _kernel_for(p)
+    pc = p / (p - 1.0)
+    v = 0.8
+    amp = ((p - 1.0) * v ** pc) ** (1.0 / p)
+    for c in (1.0, 5.0):
+        psi = _end_phase(kernel, p, pc, 1.0, 1.0, 1.0, c * u, c ** (p - 1.0) * v, 0)
+        assert psi == pytest.approx(asin_p(p, u / amp), rel=1e-13, abs=0.0)
 
 
 def test_end_phase_overflow_is_a_solver_error():
